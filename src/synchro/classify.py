@@ -90,14 +90,7 @@ def is_eulerian(d):
     for (u, v), _ in g.mult:
         neighbors[u].add(v)
         neighbors[v].add(u)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in neighbors[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
+    seen = core.reach(neighbors, 0)
     if len(seen) != d.n:
         return Verdict("out", witness=["disconnected", sorted(seen)])
     return Verdict("in", witness=indeg)
@@ -236,8 +229,7 @@ def is_two_junction(d):
 
 def simple_idempotent_letters(d):
     """Letters of deficiency one acting identically on their image."""
-    return [d.letters[a] for a, row in enumerate(d.delta)
-            if deficiency(row) == 1 and is_idempotent(row)]
+    return [d.letters[a] for a in core.simple_idempotents(d)]
 
 
 def is_completely_reachable(d, cap=REACHABILITY_CAP):
@@ -245,6 +237,7 @@ def is_completely_reachable(d, cap=REACHABILITY_CAP):
     if d.n > cap:
         raise CapExceeded(f"n={d.n} exceeds the reachability cap {cap}")
     full = (1 << d.n) - 1
+    # kept apart from engine's subset search: recording parents made the paper suite ~20% slower
     seen = {full}
     queue = deque([full])
     while queue:
@@ -278,26 +271,9 @@ def restricted_rystsov_graph(d, cap=RYSTSOV_CENSUS_CAP):
     """Census of word-induced transformations up to length n; deficiency-1
     ones contribute an edge from their dropped state to their doubled state."""
     n = d.n
-    ident = tuple(range(n))
-    census = {ident: ()}
-    frontier = [ident]
+    census = monoid.closure(n, d.delta, cap, depth=n)
     edges = {}
-    for _ in range(n):
-        nxt = []
-        for t in frontier:
-            w = census[t]
-            for a in range(d.k):
-                row = d.delta[a]
-                t2 = tuple(row[x] for x in t)
-                if t2 in census:
-                    continue
-                census[t2] = w + (a,)
-                if len(census) > cap:
-                    raise CapExceeded(
-                        f"transformation census passed {cap} before word length {n}")
-                nxt.append(t2)
-        frontier = nxt
-    for t, w in census.items():
+    for t, w in zip(census.elements, census.words):
         if deficiency(t) != 1:
             continue
         image = set(t)
@@ -421,15 +397,7 @@ def is_d6(d):
             perms.append(a)
     # orbit of state 0 under the permutation letters; inverses are powers,
     # so forward closure equals the group orbit
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        q = queue.popleft()
-        for a in perms:
-            t = d.delta[a][q]
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
+    seen = core.reach([[d.delta[a][q] for a in perms] for q in range(d.n)], 0)
     if len(seen) == d.n:
         return Verdict("in", witness=[d.letters[a] for a in perms])
     return Verdict("out", witness=["orbit", sorted(seen)])
@@ -625,6 +593,20 @@ def _verdict_one_cluster(d):
 def class_report(d, classes=None, delta_graph=None, monoid_cap=200000):
     """Evaluate the requested classes (all, by default) on one automaton."""
     requested = list(CLASS_IDS) if classes is None else list(classes)
+    built = []
+
+    def shared_monoid():
+        # built on first use and shared by the four monoid classes; a cap
+        # failure is kept too, so each of them reports it without a rebuild
+        if not built:
+            try:
+                built.append(monoid.transition_monoid(d, cap=monoid_cap))
+            except CapExceeded as exc:
+                built.append(exc)
+        if isinstance(built[0], CapExceeded):
+            raise built[0]
+        return built[0]
+
     checks = {
         "a1": lambda: is_circular(d),
         "a2": lambda: is_one_cluster_prime(d),
@@ -634,16 +616,16 @@ def class_report(d, classes=None, delta_graph=None, monoid_cap=200000):
         "a6": lambda: is_eulerian(d),
         "a6p": lambda: pseudo_eulerian_weights(d),
         "a7": lambda: has_small_rank_letter(d),
-        "a8": lambda: monoid.is_involution_free(d, cap=monoid_cap),
+        "a8": lambda: monoid.is_involution_free(shared_monoid()),
         "a9": lambda: is_a9(d),
         "a10": lambda: _verdict_binary_idempotent(d),
         "b1": lambda: has_zero(d),
-        "b2": lambda: monoid.is_aperiodic(d, cap=monoid_cap),
-        "b3": lambda: monoid.is_in_eds(monoid.transition_monoid(d, cap=monoid_cap)),
+        "b2": lambda: monoid.is_aperiodic(shared_monoid()),
+        "b3": lambda: monoid.is_in_eds(shared_monoid()),
         "b5": lambda: order_class_check(d, "weakly_monotonic"),
         "b6": lambda: order_class_check(d, "zero_monotonic"),
         "c1": lambda: order_class_check(d, "monotonic"),
-        "c3": lambda: monoid.is_in_ds(monoid.transition_monoid(d, cap=monoid_cap)),
+        "c3": lambda: monoid.is_in_ds(shared_monoid()),
         "c4": lambda: _verdict_c4(d),
         "c7": lambda: _verdict_c7(d),
         "d1": lambda: _verdict_one_cluster(d),

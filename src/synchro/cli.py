@@ -105,10 +105,21 @@ def cmd_bound(args):
     return 0
 
 
+def _worker_count(args):
+    source, raw = "--workers", args.workers
+    if raw is None:
+        source, raw = "SYNCHRO_WORKERS", os.environ.get("SYNCHRO_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise core.InputError(f"{source}: expected an integer >= 1, got {raw!r}")
+    return workers
+
+
 def cmd_verify(args):
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("SYNCHRO_WORKERS", "1"))
+    workers = _worker_count(args)
     results = harness.run_suite(args.suite, max_n=args.max_n, workers=workers,
                                 out_path=args.out)
     width = max((len(r.case_id) for r in results), default=10)

@@ -64,7 +64,9 @@ class Dfa:
     name: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        # exact type checks: they keep bools out, and they are cheaper than
+        # isinstance on the samplers' and census's per-candidate construction
+        if type(self.n) is not int or self.n < 1:
             raise InputError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "letters", tuple(self.letters))
         object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
@@ -83,7 +85,7 @@ class Dfa:
                 raise InputError(
                     f"delta row for letter {self.letters[a]!r} has {len(row)} entries, expected {self.n}")
             for q, t in enumerate(row):
-                if not isinstance(t, int) or not 0 <= t < self.n:
+                if type(t) is not int or not 0 <= t < self.n:
                     raise InputError(
                         f"delta[{self.letters[a]!r}][{q}] = {t!r} is not a state in [0, {self.n})")
 
@@ -99,9 +101,6 @@ class Dfa:
             return self.letters.index(name)
         except ValueError:
             raise InputError(f"unknown letter {name!r}") from None
-
-    def full_set(self):
-        return StateSet.full(self.n)
 
 
 @dataclass(frozen=True)
@@ -236,10 +235,6 @@ def preimage(d, P, w):
 #
 # A transformation is a tuple t of length n with t[q] the image of q.
 
-def letter_transformation(d, a):
-    return d.delta[a]
-
-
 def word_transformation(d, w):
     t = tuple(range(d.n))
     for a in check_word(d, w):
@@ -253,16 +248,17 @@ def compose(t, u):
     return tuple(u[q] for q in t)
 
 
-def transformation_image(t):
-    return frozenset(t)
-
-
 def deficiency(t):
     return len(t) - len(set(t))
 
 
 def is_idempotent(t):
     return all(t[x] == x for x in set(t))
+
+
+def simple_idempotents(d):
+    """Indices of the letters of deficiency one that act identically on their image."""
+    return [a for a, row in enumerate(d.delta) if deficiency(row) == 1 and is_idempotent(row)]
 
 
 def is_permutation(t):
@@ -320,12 +316,6 @@ class Multigraph:
     def in_degree(self, v):
         return sum(c for (u, w), c in self.mult if w == v)
 
-    def out_degree(self, u):
-        return sum(c for (x, v), c in self.mult if x == u)
-
-    def successors(self, u):
-        return sorted({v for (x, v), _ in self.mult if x == u})
-
 
 def underlying_graph(d):
     """The automaton's graph with labels dropped; parallel edges are counted."""
@@ -336,7 +326,8 @@ def underlying_graph(d):
     return Multigraph(d.n, tuple(sorted(counts.items())))
 
 
-def _reach(n, succs, start):
+def reach(succs, start):
+    """The vertices reachable from start along the successor lists."""
     seen = {start}
     queue = deque([start])
     while queue:
@@ -350,12 +341,7 @@ def _reach(n, succs, start):
 
 def is_strongly_connected(d):
     """True iff every ordered pair of states is joined by a directed path."""
-    succs = [sorted({row[q] for row in d.delta}) for q in range(d.n)]
-    preds = [[] for _ in range(d.n)]
-    for u in range(d.n):
-        for v in succs[u]:
-            preds[v].append(u)
-    return len(_reach(d.n, succs, 0)) == d.n and len(_reach(d.n, preds, 0)) == d.n
+    return digraph_strongly_connected(d.n, [{row[q] for row in d.delta} for q in range(d.n)])
 
 
 def digraph_strongly_connected(n, succs):
@@ -365,7 +351,7 @@ def digraph_strongly_connected(n, succs):
     for u in range(n):
         for v in succs[u]:
             preds[v].append(u)
-    return len(_reach(n, succs, 0)) == n and len(_reach(n, preds, 0)) == n
+    return len(reach(succs, 0)) == n and len(reach(preds, 0)) == n
 
 
 def strongly_connected_components(n, succs):
@@ -506,7 +492,7 @@ def dfa_from_json(obj):
     if not isinstance(name, str):
         raise InputError(f"name: expected a string, got {type(name).__name__}")
     n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f"n: expected an integer >= 1, got {n!r}")
     letters = obj.get("letters")
     if not isinstance(letters, list) or not letters:

@@ -142,12 +142,7 @@ def _pair_merge_word(d, p, q):
             row = d.delta[a]
             pp, qq = row[pair[0]], row[pair[1]]
             if pp == qq:
-                word = [a]
-                while parent[pair] is not None:
-                    pair, b = parent[pair]
-                    word.append(b)
-                word.reverse()
-                return tuple(word)
+                return _path(parent, pair) + (a,)
             key = (pp, qq) if pp < qq else (qq, pp)
             if key not in parent:
                 parent[key] = (pair, a)
@@ -155,38 +150,56 @@ def _pair_merge_word(d, p, q):
     raise NotSynchronizing(f"states {p} and {q} cannot be merged")
 
 
+def _path(parent, node):
+    """The word that leads from the search's start to node, read off parent links."""
+    word = []
+    while parent[node] is not None:
+        node, a = parent[node]
+        word.append(a)
+    word.reverse()
+    return tuple(word)
+
+
+def _subset_search(d, start, below):
+    """Breadth-first search over the images of the start mask, letters in index order.
+
+    Returns (hit, parent): hit is the first image found with fewer than
+    below states, or None when no image is that small; parent maps every
+    reached mask to its (predecessor, letter), and the start to None. Within
+    one BFS level images are discovered in lexicographic order of their
+    words, so _path(parent, hit) is the least shortest such word.
+    """
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        m = queue.popleft()
+        for a, row in enumerate(d.delta):
+            m2 = image_mask(row, m)
+            if m2 in parent:
+                continue
+            parent[m2] = (m, a)
+            if m2.bit_count() < below:
+                return m2, parent
+            queue.append(m2)
+    return None, parent
+
+
 def exact_reset_threshold(d, cap=core.SUBSET_BFS_CAP):
     """The reset threshold and the lexicographically least shortest reset word.
 
-    Breadth-first search over the images of the full state set; within one
-    BFS level subsets are discovered in lexicographic order of their witness
-    words, so the first singleton found closes the search.
+    A subset search from the full state set that stops at the first
+    singleton.
     """
     _check_subset_cap(d.n, cap)
     if d.n == 1:
         return 0, ()
     if not is_synchronizing(d):
         raise NotSynchronizing("automaton is not synchronizing")
-    full = (1 << d.n) - 1
-    parent = {full: None}
-    queue = deque([full])
-    while queue:
-        m = queue.popleft()
-        for a in range(d.k):
-            m2 = image_mask(d.delta[a], m)
-            if m2 in parent:
-                continue
-            parent[m2] = (m, a)
-            if m2 & (m2 - 1) == 0:
-                word = []
-                cur = m2
-                while parent[cur] is not None:
-                    cur, b = parent[cur]
-                    word.append(b)
-                word.reverse()
-                return len(word), tuple(word)
-            queue.append(m2)
-    raise AssertionError("synchronizing automaton ran out of subsets")
+    hit, parent = _subset_search(d, (1 << d.n) - 1, 2)
+    if hit is None:
+        raise AssertionError("synchronizing automaton ran out of subsets")
+    word = _path(parent, hit)
+    return len(word), word
 
 
 def greedy_compression_word(d, cap=core.SUBSET_BFS_CAP):
@@ -200,37 +213,15 @@ def greedy_compression_word(d, cap=core.SUBSET_BFS_CAP):
         return _finish(d, (), "greedy")
     if not is_synchronizing(d):
         raise NotSynchronizing("automaton is not synchronizing")
-    word = []
+    word = ()
     cur = (1 << d.n) - 1
     while cur.bit_count() > 1:
-        size = cur.bit_count()
-        seen = {cur}
-        parent = {cur: None}
-        queue = deque([cur])
-        step = None
-        while queue and step is None:
-            m = queue.popleft()
-            for a in range(d.k):
-                m2 = image_mask(d.delta[a], m)
-                if m2 in seen:
-                    continue
-                seen.add(m2)
-                parent[m2] = (m, a)
-                if m2.bit_count() < size:
-                    step = m2
-                    break
-                queue.append(m2)
+        step, parent = _subset_search(d, cur, cur.bit_count())
         if step is None:
             raise AssertionError("no compressing word found for a synchronizing automaton")
-        part = []
-        cur2 = step
-        while parent[cur2] is not None:
-            cur2, b = parent[cur2]
-            part.append(b)
-        part.reverse()
-        word.extend(part)
+        word += _path(parent, step)
         cur = step
-    return _finish(d, tuple(word), "greedy")
+    return _finish(d, word, "greedy")
 
 
 def _backward_lexmin(d, pre, start_mask, stop, node_check=None):
@@ -420,14 +411,6 @@ def eppstein_orientable_word(d, order=None):
 
 # -- all-simple-idempotent solving --------------------------------------------
 
-def _simple_idempotent_letters(d):
-    out = []
-    for a, row in enumerate(d.delta):
-        if core.deficiency(row) == 1 and core.is_idempotent(row):
-            out.append(a)
-    return out
-
-
 def c7_height_word(d):
     """Reset an automaton whose letters are all simple idempotents.
 
@@ -440,7 +423,7 @@ def c7_height_word(d):
     n = d.n
     if n == 1:
         return _finish(d, (), "c7")
-    if len(_simple_idempotent_letters(d)) != d.k:
+    if len(core.simple_idempotents(d)) != d.k:
         raise DomainError("every letter must be a simple idempotent")
     q0 = merge_probe_target(d)
     # heights: BFS over reversed edges from the target
@@ -495,7 +478,7 @@ def a10_binary_idempotent_word(d):
     n = d.n
     if d.k != 2:
         raise DomainError("solver needs a binary automaton")
-    idem = _simple_idempotent_letters(d)
+    idem = core.simple_idempotents(d)
     if not idem:
         raise DomainError("neither letter is a simple idempotent")
     ia = idem[0]

@@ -22,7 +22,8 @@ class TransitionMonoid:
 
     elements[0] is the identity; words[i] is a shortest witness word for
     elements[i], lexicographically least at its depth; generators[a] is the
-    element index induced by letter a.
+    element index induced by letter a. A depth-limited closure holds only
+    the elements of words up to that length.
     """
 
     n: int
@@ -40,9 +41,11 @@ class TransitionMonoid:
         return [i for i, t in enumerate(self.elements) if compose(t, t) == t]
 
 
-def transition_monoid(d, cap=MONOID_CAP):
-    """Breadth-first closure of the letters under composition."""
-    ident = tuple(range(d.n))
+def closure(n, gens, cap=MONOID_CAP, depth=None):
+    """Breadth-first closure of the identity on n states under the generator
+    transformations, generators in index order; with depth, only words up to
+    that length are expanded. Raises CapExceeded past cap elements."""
+    ident = tuple(range(n))
     index = {ident: 0}
     elements = [ident]
     words = [()]
@@ -50,8 +53,10 @@ def transition_monoid(d, cap=MONOID_CAP):
     while queue:
         i = queue.popleft()
         t, w = elements[i], words[i]
-        for a in range(d.k):
-            t2 = compose(t, d.delta[a])
+        if len(w) == depth:
+            continue
+        for a, g in enumerate(gens):
+            t2 = compose(t, g)
             if t2 in index:
                 continue
             index[t2] = len(elements)
@@ -59,10 +64,17 @@ def transition_monoid(d, cap=MONOID_CAP):
             words.append(w + (a,))
             if len(elements) > cap:
                 raise CapExceeded(
-                    f"transition monoid passed {cap} elements ({len(elements)} so far)")
+                    f"transition monoid passed {cap} elements ({len(elements)} so far)"
+                    if depth is None else
+                    f"transformation census passed {cap} before word length {depth}")
             queue.append(index[t2])
-    generators = tuple(index[d.delta[a]] for a in range(d.k))
-    return TransitionMonoid(d.n, tuple(elements), tuple(words), generators)
+    generators = tuple(index[g] for g in gens)
+    return TransitionMonoid(n, tuple(elements), tuple(words), generators)
+
+
+def transition_monoid(d, cap=MONOID_CAP):
+    """Breadth-first closure of the letters under composition."""
+    return closure(d.n, d.delta, cap)
 
 
 def _power_cycle_length(t):
@@ -77,21 +89,19 @@ def _power_cycle_length(t):
         seen[cur] = i
 
 
-def is_aperiodic(d, cap=MONOID_CAP):
+def is_aperiodic(m):
     """Every element's power sequence stabilizes (no nontrivial subgroup)."""
-    m = transition_monoid(d, cap)
     for i, t in enumerate(m.elements):
         if _power_cycle_length(t) != 1:
             return Verdict("out", witness=list(m.words[i]))
     return Verdict("in", witness=len(m))
 
 
-def is_involution_free(d, cap=MONOID_CAP):
+def is_involution_free(m):
     """No element squares to the identity on a state it moves."""
-    m = transition_monoid(d, cap)
     for i, t in enumerate(m.elements):
         tt = compose(t, t)
-        for q in range(d.n):
+        for q in range(m.n):
             if tt[q] == q and t[q] != q:
                 return Verdict("out", witness={"word": list(m.words[i]), "state": q})
     return Verdict("in", witness=len(m))
@@ -152,32 +162,19 @@ def is_in_eds(m, cap=DS_CAP):
     """The idempotent-generated submonoid satisfies the ideal implication."""
     if len(m) > cap:
         raise CapExceeded(f"monoid of size {len(m)} exceeds the ideal-check cap {cap}")
-    idem = [m.elements[i] for i in m.idempotents()]
-    ident = tuple(range(m.n))
-    sub = {ident: 0}
-    elements = [ident]
-    queue = deque([ident])
-    while queue:
-        t = queue.popleft()
-        for e in idem:
-            t2 = compose(t, e)
-            if t2 not in sub:
-                sub[t2] = len(elements)
-                elements.append(t2)
-                queue.append(t2)
-    generators = tuple(sub[e] for e in idem)
-    bad = _ds_core(tuple(elements), generators)
+    sub = closure(m.n, [m.elements[i] for i in m.idempotents()])
+    bad = _ds_core(sub.elements, sub.generators)
     if bad is None:
-        return Verdict("in", witness=len(elements))
-    return Verdict("out", witness={"submonoid_size": len(elements)})
+        return Verdict("in", witness=len(sub))
+    return Verdict("out", witness={"submonoid_size": len(sub)})
 
 
 def monoid_summary(d, cap=MONOID_CAP, ds_cap=DS_CAP):
     """Size, idempotent count, and the four monoid verdicts for one automaton."""
     m = transition_monoid(d, cap)
     out = {"size": len(m), "idempotents": len(m.idempotents())}
-    out["aperiodic"] = is_aperiodic(d, cap).to_json()
-    out["involution_free"] = is_involution_free(d, cap).to_json()
+    out["aperiodic"] = is_aperiodic(m).to_json()
+    out["involution_free"] = is_involution_free(m).to_json()
     try:
         out["ds"] = is_in_ds(m, ds_cap).to_json()
         out["eds"] = is_in_eds(m, ds_cap).to_json()

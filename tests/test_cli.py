@@ -138,6 +138,40 @@ class TestVerifyAndEnum:
         report = json.loads(out)
         assert report["max_rt"] >= 1
 
+    @pytest.mark.parametrize("env,flags,culprit", [
+        ("x", [], "SYNCHRO_WORKERS"),
+        ("0", [], "SYNCHRO_WORKERS"),
+        (None, ["--workers", "0"], "--workers"),
+    ])
+    def test_verify_rejects_bad_worker_count(self, capsys, monkeypatch, env, flags, culprit):
+        if env is None:
+            monkeypatch.delenv("SYNCHRO_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("SYNCHRO_WORKERS", env)
+        code, out, err = run(capsys, "verify", "--suite", "quick", "--max-n", "2", *flags)
+        assert code == 2
+        assert culprit in err and out == ""
+
+    def test_enum_checkpoint_of_another_filter_exits_2(self, capsys, tmp_path):
+        ck = str(tmp_path / "census.jsonl")
+        code, _, _ = run(capsys, "enum", "--letters", "2", "--states", "3", "--checkpoint", ck)
+        assert code == 0
+        code, out, err = run(capsys, "enum", "--letters", "2", "--states", "3",
+                             "--filter", "synchronizing", "--checkpoint", ck)
+        assert code == 2 and out == ""
+        assert f"{ck}:1:" in err
+
+    def test_enum_torn_checkpoint_line_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "census.jsonl"
+        args = ["enum", "--letters", "2", "--states", "3", "--checkpoint", str(path)]
+        code, _, _ = run(capsys, *args)
+        assert code == 0
+        text = path.read_text()
+        path.write_text(text[:len(text) - 10])
+        code, out, err = run(capsys, *args)
+        assert code == 2 and out == ""
+        assert f"{path}:3:" in err
+
     def test_enum_budget_exit(self, capsys):
         code, _, err = run(capsys, "enum", "--letters", "2", "--states", "7")
         assert code == 3

@@ -52,6 +52,14 @@ class TestDfaValidation:
         with pytest.raises(InputError):
             Dfa(3, ("a",), ((0, 1),))
 
+    def test_rejects_boolean_n(self):
+        with pytest.raises(InputError):
+            Dfa(True, ("a",), ((0,),))
+
+    def test_rejects_boolean_state(self):
+        with pytest.raises(InputError):
+            Dfa(2, ("a",), ((0, True),))
+
 
 class TestApplyWord:
     def test_cerny_hand_trace(self):
@@ -310,6 +318,12 @@ class TestJson:
         obj["delta"]["a"][0] = True
         with pytest.raises(InputError):
             core.dfa_from_json(obj)
+
+    def test_bool_is_not_a_state_count(self):
+        obj = {"n": True, "letters": ["a"], "delta": {"a": [0]}}
+        with pytest.raises(InputError) as err:
+            core.dfa_from_json(obj)
+        assert "n:" in str(err.value)
 
 
 class TestDot:

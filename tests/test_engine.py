@@ -97,6 +97,21 @@ class TestExactResetThreshold:
                     break
             assert word == best
 
+    def test_matches_backward_search_from_singletons(self):
+        # independent route: grow each singleton's preimage until it is the
+        # full set; the least of those words is the least shortest reset word
+        rng = random.Random(97)
+        for _ in range(200):
+            d = random_sync(rng.randrange(2, 9), rng.choice((2, 3)), rng)
+            pre = core.letter_preimage_masks(d)
+            full = (1 << d.n) - 1
+            backward = []
+            for q in range(d.n):
+                found = engine._backward_lexmin(d, pre, 1 << q, lambda m: m == full)
+                if found is not None:
+                    backward.append((len(found[0]), found[0]))
+            assert engine.exact_reset_threshold(d) == min(backward)
+
     def test_not_synchronizing(self):
         d = Dfa(2, ("a", "b"), ((0, 1), (1, 0)))
         with pytest.raises(NotSynchronizing):

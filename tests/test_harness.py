@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import random
+import re
 
 import pytest
 
 from synchro import classify, core, engine, harness
-from synchro.core import CapExceeded, Dfa, DomainError
+from synchro.core import CapExceeded, Dfa, DomainError, InputError
 
 
 class TestCanonicalForm:
@@ -79,7 +81,8 @@ class TestCensus:
         ck = tmp_path / "census.jsonl"
         # simulate an interrupted run: process only shards 0 and 1
         for shard in range(2):
-            rec = {"shard": shard, "classes": 0, "max_rt": -1, "attainers": []}
+            rec = {"shard": shard, "filter": dataclasses.asdict(filt), "classes": 0,
+                   "max_rt": -1, "attainers": []}
             for d in harness.enumerate_automata(filt, shard=shard):
                 rt, _ = engine.exact_reset_threshold(d)
                 rec["classes"] += 1
@@ -94,6 +97,22 @@ class TestCensus:
         assert resumed.classes == base.classes
         assert resumed.max_rt == base.max_rt
         assert resumed.attainers == base.attainers
+
+    def test_resume_rejects_another_filter(self, tmp_path):
+        ck = tmp_path / "census.jsonl"
+        harness.census_max_rt(harness.EnumerationFilter(letters=2, states=3),
+                              checkpoint=str(ck))
+        synchronizing = harness.EnumerationFilter(letters=2, states=3, synchronizing=True)
+        with pytest.raises(InputError, match=re.escape(f"{ck}:1:")):
+            harness.census_max_rt(synchronizing, checkpoint=str(ck))
+
+    def test_resume_rejects_a_record_without_filter(self, tmp_path):
+        ck = tmp_path / "census.jsonl"
+        ck.write_text(json.dumps({"shard": 0, "classes": 0, "max_rt": -1,
+                                  "attainers": []}) + "\n")
+        filt = harness.EnumerationFilter(letters=2, states=3)
+        with pytest.raises(InputError, match="missing"):
+            harness.census_max_rt(filt, checkpoint=str(ck))
 
 
 class TestRandomSources:

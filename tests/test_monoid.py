@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from synchro import core, families, monoid
+from synchro import classify, core, families, monoid
 from synchro.core import CapExceeded, Dfa
 
 
@@ -60,14 +60,15 @@ class TestClosure:
 class TestAperiodic:
     def test_chain_yes(self):
         for n in (1, 3, 6):
-            assert monoid.is_aperiodic(chain(n)).status == "in"
+            assert monoid.is_aperiodic(monoid.transition_monoid(chain(n))).status == "in"
 
     def test_cerny_no(self):
-        v = monoid.is_aperiodic(cerny(4))
+        v = monoid.is_aperiodic(monoid.transition_monoid(cerny(4)))
         assert v.status == "out"
 
     def test_elevator_yes(self):
-        assert monoid.is_aperiodic(families.gen_elevator(5).dfa).status == "in"
+        m = monoid.transition_monoid(families.gen_elevator(5).dfa)
+        assert monoid.is_aperiodic(m).status == "in"
 
     def test_matches_bruteforce_power_check(self):
         rng = random.Random(17)
@@ -89,16 +90,16 @@ class TestAperiodic:
                     powers.append(nxt)
                 if not expected:
                     break
-            assert (monoid.is_aperiodic(d).status == "in") == expected
+            assert (monoid.is_aperiodic(m).status == "in") == expected
 
 
 class TestInvolutionFree:
     def test_chain_yes(self):
-        assert monoid.is_involution_free(chain(5)).status == "in"
+        assert monoid.is_involution_free(monoid.transition_monoid(chain(5))).status == "in"
 
     def test_cerny4_no(self):
         # the square of the cycle letter is an involution on the 4-cycle
-        v = monoid.is_involution_free(cerny(4))
+        v = monoid.is_involution_free(monoid.transition_monoid(cerny(4)))
         assert v.status == "out"
 
     def test_aperiodic_implies_involution_free(self):
@@ -107,8 +108,9 @@ class TestInvolutionFree:
             n = rng.randrange(2, 5)
             d = Dfa(n, ("a", "b"),
                     tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(2)))
-            if monoid.is_aperiodic(d).status == "in":
-                assert monoid.is_involution_free(d).status == "in"
+            m = monoid.transition_monoid(d)
+            if monoid.is_aperiodic(m).status == "in":
+                assert monoid.is_involution_free(m).status == "in"
 
 
 class TestDsEds:
@@ -204,6 +206,22 @@ class TestDsEds:
 
 
 class TestSummary:
+    @pytest.mark.parametrize("report", [
+        lambda d: classify.class_report(d),
+        lambda d: monoid.monoid_summary(d),
+    ], ids=["class_report", "monoid_summary"])
+    def test_monoid_built_once(self, monkeypatch, report):
+        calls = []
+        build = monoid.transition_monoid
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(monoid, "transition_monoid", counting)
+        report(cerny(4))
+        assert len(calls) == 1
+
     def test_chain_summary(self):
         out = monoid.monoid_summary(chain(4))
         assert out["size"] == 4
