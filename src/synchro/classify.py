@@ -232,10 +232,10 @@ def simple_idempotent_letters(d):
     return [d.letters[a] for a in core.simple_idempotents(d)]
 
 
-def is_completely_reachable(d, cap=REACHABILITY_CAP):
+def is_completely_reachable(d):
     """Every non-empty subset is an image of the full state set."""
-    if d.n > cap:
-        raise CapExceeded(f"n={d.n} exceeds the reachability cap {cap}")
+    if d.n > REACHABILITY_CAP:
+        raise CapExceeded(f"n={d.n} exceeds the reachability cap {REACHABILITY_CAP}")
     full = (1 << d.n) - 1
     # kept apart from engine's subset search: recording parents made the paper suite ~20% slower
     seen = {full}
@@ -267,11 +267,11 @@ class RystsovGraph:
         return [sorted(set(s)) for s in succs]
 
 
-def restricted_rystsov_graph(d, cap=RYSTSOV_CENSUS_CAP):
+def restricted_rystsov_graph(d):
     """Census of word-induced transformations up to length n; deficiency-1
     ones contribute an edge from their dropped state to their doubled state."""
     n = d.n
-    census = monoid.closure(n, d.delta, cap, depth=n)
+    census = monoid.closure(n, d.delta, RYSTSOV_CENSUS_CAP, depth=n)
     edges = {}
     for t, w in zip(census.elements, census.words):
         if deficiency(t) != 1:
@@ -288,9 +288,9 @@ def restricted_rystsov_graph(d, cap=RYSTSOV_CENSUS_CAP):
     return RystsovGraph(n, edges)
 
 
-def is_a9(d, cap=RYSTSOV_CENSUS_CAP):
+def is_a9(d):
     """Strong connectivity of the restricted graph of dropped/doubled states."""
-    g = restricted_rystsov_graph(d, cap)
+    g = restricted_rystsov_graph(d)
     if core.digraph_strongly_connected(g.n, g.successors()):
         return Verdict("in", witness=sorted(f"{u}->{v}" for (u, v) in g.edges))
     return Verdict("out")
@@ -330,7 +330,7 @@ def _cycle_prune(d, cls, skip_state=None):
     return None
 
 
-def order_class_check(d, cls, cap=ORDER_SEARCH_CAP):
+def order_class_check(d, cls):
     """Exhaustive search for a state order satisfying a per-letter shape.
 
     Cyclic shapes (orientable, weakly orientable) are rotation invariant,
@@ -341,8 +341,8 @@ def order_class_check(d, cls, cap=ORDER_SEARCH_CAP):
     if cls not in ORDER_CLASSES:
         raise InputError(f"unknown order class {cls!r}")
     n = d.n
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the order-search cap {cap}")
+    if n > ORDER_SEARCH_CAP:
+        raise CapExceeded(f"n={n} exceeds the order-search cap {ORDER_SEARCH_CAP}")
     if cls == "zero_monotonic":
         zero = has_zero(d)
         if zero.status != "in":
@@ -424,15 +424,16 @@ class Digraph:
         if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise InputError("graph JSON needs keys n and edges")
         n = obj["n"]
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise InputError(f"n: expected a positive integer, got {n!r}")
         edges = obj["edges"]
         if not isinstance(edges, list):
             raise InputError("edges: expected a list of [u, v] pairs")
         pairs = []
         for i, e in enumerate(edges):
-            if not (isinstance(e, list) and len(e) == 2):
-                raise InputError(f"edges[{i}]: expected a pair")
+            if not (isinstance(e, list) and len(e) == 2
+                    and type(e[0]) is int and type(e[1]) is int):
+                raise InputError(f"edges[{i}]: expected a pair of integers, got {e!r}")
             pairs.append((e[0], e[1]))
         return cls.from_edges(n, pairs)
 

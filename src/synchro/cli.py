@@ -75,8 +75,11 @@ def cmd_classify(args):
     classes = args.classes.split(",") if args.classes else None
     graph = None
     if args.delta_graph:
-        with open(args.delta_graph) as fh:
-            graph = classify.Digraph.from_json(json.load(fh))
+        try:
+            with open(args.delta_graph) as fh:
+                graph = classify.Digraph.from_json(json.load(fh))
+        except (OSError, ValueError, core.InputError) as exc:  # ValueError: bad JSON
+            raise core.InputError(f"{args.delta_graph}: {exc}") from None
     report = classify.class_report(d, classes=classes, delta_graph=graph)
     print(json.dumps(report, indent=2))
     return 0

@@ -128,9 +128,6 @@ class StateSet:
 
     @classmethod
     def full(cls, n):
-        if n > HARD_STATE_CAP:
-            raise CapExceeded(
-                f"state count {n} exceeds the hard subset cap {HARD_STATE_CAP}")
         return cls(n, (1 << n) - 1)
 
     @classmethod
@@ -327,16 +324,17 @@ def underlying_graph(d):
 
 
 def reach(succs, start):
-    """The vertices reachable from start along the successor lists."""
-    seen = {start}
+    """{vertex: BFS depth} over the vertices reachable from start along succs."""
+    depth = {start: 0}
     queue = deque([start])
     while queue:
         u = queue.popleft()
+        du = depth[u] + 1
         for v in succs[u]:
-            if v not in seen:
-                seen.add(v)
+            if v not in depth:
+                depth[v] = du
                 queue.append(v)
-    return seen
+    return depth
 
 
 def is_strongly_connected(d):

@@ -90,64 +90,68 @@ def _finish(d, word, method):
     return SolveResult(tuple(word), method, mask.bit_length() - 1)
 
 
-def is_synchronizing(d):
-    """Decide synchronizability by merging pairs backward; no power-set search."""
+def _merge_levels(d):
+    """Backward search in the pair automaton from the diagonal.
+
+    levels[i] lists the pairs (p, q), p < q, whose shortest merging word
+    has length i + 1; a pair that no word merges is in no level.
+    """
     n = d.n
-    if n == 1:
-        return True
-    mergeable = set()
+    seen = set()
     rev = {}
-    queue = deque()
+    level = []
     for p in range(n):
         for q in range(p + 1, n):
             for row in d.delta:
                 pp, qq = row[p], row[q]
-                if pp == qq:
-                    if (p, q) not in mergeable:
-                        mergeable.add((p, q))
-                        queue.append((p, q))
-                else:
-                    key = (pp, qq) if pp < qq else (qq, pp)
-                    rev.setdefault(key, []).append((p, q))
-    while queue:
-        pair = queue.popleft()
-        for src in rev.get(pair, ()):
-            if src not in mergeable:
-                mergeable.add(src)
-                queue.append(src)
-    return len(mergeable) == n * (n - 1) // 2
+                if pp != qq:
+                    rev.setdefault((pp, qq) if pp < qq else (qq, pp), []).append((p, q))
+                elif (p, q) not in seen:
+                    seen.add((p, q))
+                    level.append((p, q))
+    levels = []
+    while level:
+        levels.append(level)
+        nxt = []
+        for pair in level:
+            for src in rev.get(pair, ()):
+                if src not in seen:
+                    seen.add(src)
+                    nxt.append(src)
+        level = nxt
+    return levels
+
+
+def is_synchronizing(d):
+    """Decide synchronizability by merging pairs backward; no power-set search."""
+    return sum(map(len, _merge_levels(d))) == d.n * (d.n - 1) // 2
 
 
 def merge_probe_target(d):
-    """A state the automaton can be reset to, found by repeated pair merging."""
-    if not is_synchronizing(d):
+    """A state the automaton can be reset to, found by repeated pair merging.
+
+    Each step merges the two least states of the current set by their least
+    shortest merging word: at each pair, the least letter whose image pair
+    merges or lies one level closer to the diagonal.
+    """
+    n = d.n
+    levels = _merge_levels(d)
+    if sum(map(len, levels)) != n * (n - 1) // 2:
         raise NotSynchronizing("automaton is not synchronizing")
-    cur = frozenset(range(d.n))
-    while len(cur) > 1:
-        it = iter(sorted(cur))
-        p, q = next(it), next(it)
-        u = _pair_merge_word(d, p, q)
-        cur = frozenset(core.apply_word(d, s, u) for s in cur)
-    return next(iter(cur))
-
-
-def _pair_merge_word(d, p, q):
-    # BFS in the pair automaton from {p,q} to the diagonal
-    start = (p, q) if p < q else (q, p)
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        for a in range(d.k):
-            row = d.delta[a]
-            pp, qq = row[pair[0]], row[pair[1]]
-            if pp == qq:
-                return _path(parent, pair) + (a,)
-            key = (pp, qq) if pp < qq else (qq, pp)
-            if key not in parent:
-                parent[key] = (pair, a)
-                queue.append(key)
-    raise NotSynchronizing(f"states {p} and {q} cannot be merged")
+    dist = {pair: i for i, level in enumerate(levels) for pair in level}
+    cur = (1 << n) - 1
+    while cur & (cur - 1):
+        pair = tuple(bits(cur))[:2]
+        while pair[0] != pair[1]:
+            want = dist[pair] - 1  # a merged pair is on no level: it reads as -1
+            for row in d.delta:
+                pp, qq = row[pair[0]], row[pair[1]]
+                key = (pp, qq) if pp < qq else (qq, pp)
+                if dist.get(key, -1) == want:
+                    break
+            cur = image_mask(row, cur)
+            pair = key
+    return cur.bit_length() - 1
 
 
 def _path(parent, node):
@@ -224,17 +228,17 @@ def greedy_compression_word(d, cap=core.SUBSET_BFS_CAP):
     return _finish(d, word, "greedy")
 
 
-def _backward_lexmin(d, pre, start_mask, stop, node_check=None):
+def _backward_lexmin(d, pre, starts, stop, node_check=None):
     """Level-synchronized backward BFS under single-letter preimages.
 
-    Each step prepends a letter to the word, so per level and per subset the
+    The start masks form level 0, each with the empty word. Each step
+    prepends a letter to the word, so per level and per subset the
     lexicographically least word is kept before moving on. Returns the least
-    (word, mask) among the first level's subsets satisfying stop, or None.
+    (word, mask) among the first level's subsets satisfying stop (level 0
+    is not tested), or None.
     """
-    if stop(start_mask):
-        return (), start_mask
-    seen = {start_mask}
-    level = {start_mask: ()}
+    level = dict.fromkeys(starts, ())
+    seen = set(level)
     while level:
         nxt = {}
         for m, w in level.items():
@@ -264,19 +268,19 @@ def shortest_extending_word(d, P, pre=None):
     if pre is None:
         pre = letter_preimage_masks(d)
     base = P.mask.bit_count()
-    found = _backward_lexmin(d, pre, P.mask, lambda m: m.bit_count() > base)
+    found = _backward_lexmin(d, pre, (P.mask,), lambda m: m.bit_count() > base)
     if found is None:
         return None
     return found[0]
 
 
-def extensibility_profile(d, cap=EXTENSION_CAP):
+def extensibility_profile(d):
     """Shortest extension lengths for every proper non-singleton subset.
 
     Raises NotExtensible (carrying the subset) as soon as one subset admits
     no extending word.
     """
-    _check_subset_cap(d.n, cap)
+    _check_subset_cap(d.n, EXTENSION_CAP)
     n = d.n
     pre = letter_preimage_masks(d)
     by_size = {}
@@ -358,10 +362,10 @@ def orientation_violations(d, order):
 def eppstein_orientable_word(d, order=None):
     """Backward search over oriented intervals of an orientable automaton.
 
-    From each singleton, grow the preimage with single-letter steps; every
-    set encountered must be an interval of the cyclic arrangement the order
-    induces, of which there are (n-1)^2 non-singleton ones, so the result
-    has length at most (n-1)^2.
+    From all singletons at once, grow the preimages with single-letter
+    steps; every set encountered must be an interval of the cyclic
+    arrangement the order induces, of which there are (n-1)^2 non-singleton
+    ones, so the result has length at most (n-1)^2.
     """
     n = d.n
     if order is None:
@@ -380,14 +384,8 @@ def eppstein_orientable_word(d, order=None):
         pos[q] = i
     full = (1 << n) - 1
 
-    def position_mask(mask):
-        out = 0
-        for q in bits(mask):
-            out |= 1 << pos[q]
-        return out
-
     def check_arc(mask):
-        pm = position_mask(mask)
+        pm = image_mask(pos, mask)  # the mask's states as positions in the order
         if pm == full:
             return
         ends = sum(1 for i in range(n) if (pm >> i) & 1 and not (pm >> ((i + 1) % n)) & 1)
@@ -395,18 +393,11 @@ def eppstein_orientable_word(d, order=None):
             raise AssertionError(
                 f"preimage {sorted(bits(mask))} is not an oriented interval")
 
-    pre = letter_preimage_masks(d)
-    best = None
-    for q in range(n):
-        found = _backward_lexmin(d, pre, 1 << q, lambda m: m == full, node_check=check_arc)
-        if found is None:
-            continue
-        w, _ = found
-        if best is None or (len(w), w) < (len(best), best):
-            best = w
-    if best is None:
+    found = _backward_lexmin(d, letter_preimage_masks(d), [1 << q for q in range(n)],
+                             lambda m: m == full, node_check=check_arc)
+    if found is None:
         raise AssertionError("no singleton preimage reaches the full set")
-    return _finish(d, best, "eppstein")
+    return _finish(d, found[0], "eppstein")
 
 
 # -- all-simple-idempotent solving --------------------------------------------
@@ -426,30 +417,17 @@ def c7_height_word(d):
     if len(core.simple_idempotents(d)) != d.k:
         raise DomainError("every letter must be a simple idempotent")
     q0 = merge_probe_target(d)
-    # heights: BFS over reversed edges from the target
+    # heights: BFS depths over reversed edges from the target
     preds = [set() for _ in range(n)]
     for row in d.delta:
         for q, t in enumerate(row):
             preds[t].add(q)
-    dist = [None] * n
-    dist[q0] = 0
-    queue = deque([q0])
-    while queue:
-        u = queue.popleft()
-        for v in preds[u]:
-            if dist[v] is None:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    if any(x is None for x in dist):
+    dist = core.reach(preds, q0)
+    if len(dist) != n:
         raise AssertionError("some state cannot reach the reset target")
-    first = [None] * n
-    for q in range(n):
-        if q == q0:
-            continue
-        for a in range(d.k):
-            if dist[d.delta[a][q]] == dist[q] - 1:
-                first[q] = a
-                break
+    # the forest: each state's least letter one step closer to the target
+    first = {q: next(a for a in range(d.k) if dist[d.delta[a][q]] == dist[q] - 1)
+             for q in range(n) if q != q0}
     cur = set(range(n))
     word = []
     for _ in range(n - 1):

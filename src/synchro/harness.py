@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 
 from synchro import bounds, classify, core, engine, families, monoid
 from synchro.core import CapExceeded, Dfa, DomainError, InputError, StateSet
 
 ENUM_STATE_CAP = 6
 ENUM_LETTER_CAP = 2
+SAMPLER_TRIES = 100000   # rejection-sampling attempts per random_* call
 
 
 @dataclass(frozen=True)
@@ -145,34 +148,53 @@ class CensusReport:
             self.attainers.extend(other["attainers"])
 
 
+def _load_checkpoint(path, filt):
+    """The checkpoint's shard records by shard ({} when there is no file);
+    a malformed record raises InputError naming the file and the line."""
+    wanted = asdict(filt)
+    done = {}
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                where = f"{path}:{lineno}"
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise InputError(f"{where}: not a valid JSON record ({exc})") from None
+                found = rec.get("filter") if isinstance(rec, dict) else None
+                if found != wanted:
+                    raise InputError(
+                        f"{where}: record filter {found or 'missing'} "
+                        f"does not match the requested {wanted}")
+                shard, classes = rec.get("shard"), rec.get("classes")
+                if type(shard) is not int or not 0 <= shard < filt.states:
+                    raise InputError(
+                        f"{where}: shard {shard!r} is not an integer in [0, {filt.states})")
+                if type(classes) is not int or classes < 0:
+                    raise InputError(f"{where}: classes {classes!r} is not an integer >= 0")
+                if type(rec.get("max_rt")) is not int:
+                    raise InputError(f"{where}: max_rt {rec.get('max_rt')!r} is not an integer")
+                if not isinstance(rec.get("attainers"), list):
+                    raise InputError(f"{where}: attainers {rec.get('attainers')!r} is not a list")
+                done[shard] = rec
+    except FileNotFoundError:
+        pass
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: cannot read the checkpoint ({exc})") from None
+    return done
+
+
 def census_max_rt(filt, checkpoint=None):
     """Max reset threshold over the filtered census, with its attainers.
 
     With a checkpoint path, finished shards are written out as they complete
     and an interrupted run resumes where it stopped, reproducing the same
     final report. Each shard record carries its filter; resuming from a
-    record written for another filter, or from a line that is not valid
-    JSON, raises InputError.
+    record written for another filter, from a malformed record, or from a
+    file that cannot be read raises InputError.
     """
     wanted = asdict(filt)
-    done = {}
-    if checkpoint is not None:
-        try:
-            with open(checkpoint) as fh:
-                for lineno, line in enumerate(fh, 1):
-                    try:
-                        rec = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise InputError(
-                            f"{checkpoint}:{lineno}: not a valid JSON record ({exc})") from None
-                    found = rec.get("filter") if isinstance(rec, dict) else None
-                    if found != wanted:
-                        raise InputError(
-                            f"{checkpoint}:{lineno}: record filter {found or 'missing'} "
-                            f"does not match the requested {wanted}")
-                    done[rec["shard"]] = rec
-        except FileNotFoundError:
-            pass
+    done = {} if checkpoint is None else _load_checkpoint(checkpoint, filt)
     report = CensusReport()
     for shard in range(filt.states):
         if shard in done:
@@ -192,32 +214,35 @@ def census_max_rt(filt, checkpoint=None):
             elif rt == rec["max_rt"]:
                 rec["attainers"].append(list(map(list, d.delta)))
         if checkpoint is not None:
-            with open(checkpoint, "a") as fh:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            try:
+                with open(checkpoint, "a") as fh:
+                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            except OSError as exc:
+                raise InputError(f"{checkpoint}: cannot write the checkpoint ({exc})") from None
         report.absorb(rec)
     return report
 
 
 # -- random instance sources ---------------------------------------------------
 
-def random_synchronizing(n, k, seed, max_tries=100000):
+def random_synchronizing(n, k, seed):
     """A uniformly sampled transition table, rejection-sampled until it
     synchronizes; deterministic per seed."""
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(SAMPLER_TRIES):
         delta = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(k))
         d = Dfa(n, tuple(chr(ord("a") + i) for i in range(k)), delta)
         if engine.is_synchronizing(d):
             return d
-    raise CapExceeded(f"no synchronizing table found in {max_tries} tries")
+    raise CapExceeded(f"no synchronizing table found in {SAMPLER_TRIES} tries")
 
 
-def random_simple_idempotent_binary(n, seed, max_tries=100000):
+def random_simple_idempotent_binary(n, seed):
     """Binary, letter a a random simple idempotent, letter b arbitrary."""
     if n < 2:
         raise DomainError("needs n >= 2")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(SAMPLER_TRIES):
         e = rng.randrange(n)
         dst = rng.choice([q for q in range(n) if q != e])
         arow = tuple(dst if q == e else q for q in range(n))
@@ -225,10 +250,10 @@ def random_simple_idempotent_binary(n, seed, max_tries=100000):
         d = Dfa(n, ("a", "b"), (arow, brow))
         if engine.is_synchronizing(d):
             return d
-    raise CapExceeded(f"no synchronizing table found in {max_tries} tries")
+    raise CapExceeded(f"no synchronizing table found in {SAMPLER_TRIES} tries")
 
 
-def random_all_simple_idempotent(n, k, seed, max_tries=100000):
+def random_all_simple_idempotent(n, k, seed):
     """k letters, each a random simple idempotent, until synchronizing.
 
     Needs k >= n-1: the image of any word keeps every state no letter
@@ -240,7 +265,7 @@ def random_all_simple_idempotent(n, k, seed, max_tries=100000):
     if k < n - 1:
         raise DomainError("needs at least n-1 letters to synchronize")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(SAMPLER_TRIES):
         excluded = list(range(n))
         rng.shuffle(excluded)
         excluded = excluded[:n - 1] + [rng.randrange(n) for _ in range(k - n + 1)]
@@ -251,14 +276,14 @@ def random_all_simple_idempotent(n, k, seed, max_tries=100000):
         d = Dfa(n, tuple(f"a{i+1}" for i in range(k)), tuple(rows))
         if engine.is_synchronizing(d):
             return d
-    raise CapExceeded(f"no synchronizing table found in {max_tries} tries")
+    raise CapExceeded(f"no synchronizing table found in {SAMPLER_TRIES} tries")
 
 
-def random_eulerian_binary(n, seed, max_tries=100000):
+def random_eulerian_binary(n, seed):
     """Binary Eulerian synchronizing instance: letter b's in-degree profile
     complements letter a's."""
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(SAMPLER_TRIES):
         arow = tuple(rng.randrange(n) for _ in range(n))
         profile = [0] * n
         for t in arow:
@@ -271,20 +296,20 @@ def random_eulerian_binary(n, seed, max_tries=100000):
         d = Dfa(n, ("a", "b"), (arow, brow))
         if classify.is_eulerian(d).status == "in" and engine.is_synchronizing(d):
             return d
-    raise CapExceeded(f"no instance found in {max_tries} tries")
+    raise CapExceeded(f"no instance found in {SAMPLER_TRIES} tries")
 
 
-def random_completely_reachable_binary(n, seed, max_tries=100000):
+def random_completely_reachable_binary(n, seed):
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(SAMPLER_TRIES):
         delta = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(2))
         d = Dfa(n, ("a", "b"), delta)
         if classify.is_completely_reachable(d).status == "in":
             return d
-    raise CapExceeded(f"no instance found in {max_tries} tries")
+    raise CapExceeded(f"no instance found in {SAMPLER_TRIES} tries")
 
 
-def random_one_cluster_binary(n, seed, max_tries=100000):
+def random_one_cluster_binary(n, seed):
     """Binary one-cluster synchronizing instance, strongly connected.
 
     Without strong connectivity a state with no incoming edges makes any
@@ -292,13 +317,13 @@ def random_one_cluster_binary(n, seed, max_tries=100000):
     are gauged on strongly connected instances only.
     """
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(SAMPLER_TRIES):
         delta = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(2))
         d = Dfa(n, ("a", "b"), delta)
         if (classify.one_cluster_letters(d) and engine.is_synchronizing(d)
                 and core.is_strongly_connected(d)):
             return d
-    raise CapExceeded(f"no instance found in {max_tries} tries")
+    raise CapExceeded(f"no instance found in {SAMPLER_TRIES} tries")
 
 
 # -- verification cases ----------------------------------------------------------
@@ -326,10 +351,6 @@ class CaseResult:
                 "detail": self.detail, "seconds": round(self.seconds, 3)}
 
 
-def _fail(msgs, text):
-    msgs.append(text)
-
-
 def crit_cerny_formula(max_n, samples=None):
     msgs = []
     count = 0
@@ -338,12 +359,12 @@ def crit_cerny_formula(max_n, samples=None):
         inst = families.gen_cerny(n)
         rt, word = engine.exact_reset_threshold(inst.dfa)
         if rt != (n - 1) ** 2:
-            _fail(msgs, f"n={n}: threshold {rt} != (n-1)^2")
+            msgs.append(f"n={n}: threshold {rt} != (n-1)^2")
         if len(word) != (n - 1) ** 2:
-            _fail(msgs, f"n={n}: witness length {len(word)}")
+            msgs.append(f"n={n}: witness length {len(word)}")
         w = inst.notes["witness_word"]
         if len(core.image(inst.dfa, StateSet.full(n), w)) != 1:
-            _fail(msgs, f"n={n}: recorded witness word does not reset")
+            msgs.append(f"n={n}: recorded witness word does not reset")
     return not msgs, "; ".join(msgs) or f"{count} sizes checked"
 
 
@@ -354,17 +375,16 @@ def crit_dnk_formula(max_n, samples=None):
         inst = families.gen_dnk(n, k)
         rt, _ = engine.exact_reset_threshold(inst.dfa)
         if rt != k * (n - 2) + 2:
-            _fail(msgs, f"(n,k)=({n},{k}): threshold {rt} != {k * (n - 2) + 2}")
+            msgs.append(f"(n,k)=({n},{k}): threshold {rt} != {k * (n - 2) + 2}")
         w = inst.notes["witness_word"]
         if len(core.image(inst.dfa, StateSet.full(n), w)) != 1:
-            _fail(msgs, f"(n,k)=({n},{k}): recorded witness word does not reset")
+            msgs.append(f"(n,k)=({n},{k}): recorded witness word does not reset")
     return not msgs, "; ".join(msgs) or f"{len(pairs)} pairs checked"
 
 
 def crit_frobenius(max_n, samples=None):
     msgs = []
     top = min(12, max_n)
-    import math
     for n in range(3, top + 1):
         for k in range(2, n):
             if math.gcd(n, k) != 1:
@@ -373,7 +393,7 @@ def crit_frobenius(max_n, samples=None):
             expected = max(x for x in range(n * k) if x not in reachable)
             got = engine.frobenius_largest_gap(n, k)
             if got != expected:
-                _fail(msgs, f"({n},{k}): {got} != scan {expected}")
+                msgs.append(f"({n},{k}): {got} != scan {expected}")
     return not msgs, "; ".join(msgs) or f"coprime pairs up to {top} checked"
 
 
@@ -384,7 +404,7 @@ def crit_unbounded_alphabet_families(max_n, samples=None):
             inst = maker(n)
             rt, _ = engine.exact_reset_threshold(inst.dfa)
             if rt != n * (n - 1) // 2:
-                _fail(msgs, f"{inst.family} n={n}: {rt} != n(n-1)/2")
+                msgs.append(f"{inst.family} n={n}: {rt} != n(n-1)/2")
     return not msgs, "; ".join(msgs) or "both series checked"
 
 
@@ -396,7 +416,7 @@ def crit_linear_families(max_n, samples=None):
             inst = maker(n)
             rt, _ = engine.exact_reset_threshold(inst.dfa)
             if rt != n - 1:
-                _fail(msgs, f"{inst.family} n={n}: {rt} != n-1")
+                msgs.append(f"{inst.family} n={n}: {rt} != n-1")
     return not msgs, "; ".join(msgs) or "three series checked"
 
 
@@ -410,7 +430,7 @@ def crit_solver_bounds_random(max_n, samples=500):
         rt, _ = engine.exact_reset_threshold(d)
         g = engine.greedy_compression_word(d)
         if not rt <= g.length <= (n ** 3 - n) // 6:
-            _fail(msgs, f"greedy bound broken on seed {1000 + i}")
+            msgs.append(f"greedy bound broken on seed {1000 + i}")
             break
         try:
             prof = engine.extensibility_profile(d)
@@ -420,7 +440,7 @@ def crit_solver_bounds_random(max_n, samples=500):
             profiled += 1
             ext = engine.reset_word_via_extension(d)
             if not rt <= ext.length <= prof.extension_bound():
-                _fail(msgs, f"extension bound broken on seed {1000 + i}")
+                msgs.append(f"extension bound broken on seed {1000 + i}")
                 break
     detail = f"{samples} seeded instances checked, {profiled} with full profiles"
     return not msgs, "; ".join(msgs) or detail
@@ -431,7 +451,7 @@ def crit_a10_solver(max_n, samples=200):
     for n in range(3, min(10, max_n) + 1):
         res = engine.a10_binary_idempotent_word(families.gen_cerny(n).dfa)
         if res.length > (n - 1) ** 2:
-            _fail(msgs, f"cerny n={n}: length {res.length} over the square bound")
+            msgs.append(f"cerny n={n}: length {res.length} over the square bound")
     top = min(10, max_n)
     for i in range(samples):
         n = 2 + (i % (top - 1))
@@ -439,10 +459,10 @@ def crit_a10_solver(max_n, samples=200):
         try:
             res = engine.a10_binary_idempotent_word(d)
         except AssertionError as exc:
-            _fail(msgs, f"seed {2000 + i}: solver invariant fired: {exc}")
+            msgs.append(f"seed {2000 + i}: solver invariant fired: {exc}")
             break
         if res.length > (n - 1) ** 2:
-            _fail(msgs, f"seed {2000 + i}: length {res.length} over the square bound")
+            msgs.append(f"seed {2000 + i}: length {res.length} over the square bound")
             break
     return not msgs, "; ".join(msgs) or f"{samples} seeded instances checked"
 
@@ -454,7 +474,7 @@ def crit_c7_solver(max_n, samples=120):
         res = engine.c7_height_word(d)
         rt, _ = engine.exact_reset_threshold(d)
         if not res.length == n - 1 == rt:
-            _fail(msgs, f"elevator n={n}: {res.length} vs exact {rt}")
+            msgs.append(f"elevator n={n}: {res.length} vs exact {rt}")
     top = min(9, max_n)
     for i in range(samples):
         n = 2 + (i % (top - 1))
@@ -463,7 +483,7 @@ def crit_c7_solver(max_n, samples=120):
         res = engine.c7_height_word(d)
         rt, _ = engine.exact_reset_threshold(d)
         if not res.length == n - 1 == rt:
-            _fail(msgs, f"seed {3000 + i}: {res.length} vs exact {rt}")
+            msgs.append(f"seed {3000 + i}: {res.length} vs exact {rt}")
             break
     return not msgs, "; ".join(msgs) or f"{samples} seeded instances checked"
 
@@ -475,7 +495,7 @@ def crit_eppstein(max_n, samples=None):
         res = engine.eppstein_orientable_word(d)
         rt, _ = engine.exact_reset_threshold(d)
         if res.length > (n - 1) ** 2 or res.length < rt:
-            _fail(msgs, f"n={n}: produced {res.length}, exact {rt}")
+            msgs.append(f"n={n}: produced {res.length}, exact {rt}")
         # re-walk the suffix preimages; each must be an arc of the cycle order
         cur = StateSet.singleton(n, res.target)
         for i in range(res.length - 1, -1, -1):
@@ -486,7 +506,7 @@ def crit_eppstein(max_n, samples=None):
             ends = sum(1 for j in range(n)
                        if (mask >> j) & 1 and not (mask >> ((j + 1) % n)) & 1)
             if ends != 1:
-                _fail(msgs, f"n={n}: suffix preimage {sorted(cur)} not an interval")
+                msgs.append(f"n={n}: suffix preimage {sorted(cur)} not an interval")
                 break
     return not msgs, "; ".join(msgs) or "backward walks stayed within intervals"
 
@@ -496,43 +516,43 @@ def crit_classifier_ground_truths(max_n, samples=None):
     for n in range(3, min(10, max_n) + 1):
         d = families.gen_cerny(n).dfa
         if classify.is_circular(d).status != "in":
-            _fail(msgs, f"cerny {n} not circular")
+            msgs.append(f"cerny {n} not circular")
         if ("b", n) not in classify.one_cluster_letters(d):
-            _fail(msgs, f"cerny {n} cluster missing")
+            msgs.append(f"cerny {n} cluster missing")
         if classify.is_two_junction(d).status != "in":
-            _fail(msgs, f"cerny {n} not 2-junction")
+            msgs.append(f"cerny {n} not 2-junction")
         if classify.is_d6(d).status != "in":
-            _fail(msgs, f"cerny {n} not in the transitive-permutation class")
+            msgs.append(f"cerny {n} not in the transitive-permutation class")
         if classify.is_completely_reachable(d).status != "in":
-            _fail(msgs, f"cerny {n} not completely reachable")
+            msgs.append(f"cerny {n} not completely reachable")
         if classify.is_a9(d).status != "in":
-            _fail(msgs, f"cerny {n} restricted graph not strongly connected")
+            msgs.append(f"cerny {n} restricted graph not strongly connected")
         if engine.orientation_violations(d, tuple(range(n))):
-            _fail(msgs, f"cerny {n} not orientable under the identity order")
+            msgs.append(f"cerny {n} not orientable under the identity order")
     for n in (4, 5):
         r = families.gen_rystsov(n).dfa
         if classify.has_zero(r).status != "in":
-            _fail(msgs, f"rystsov {n} has no zero")
+            msgs.append(f"rystsov {n} has no zero")
         if monoid.is_in_eds(monoid.transition_monoid(r)).status != "in":
-            _fail(msgs, f"rystsov {n} monoid not in the idempotent ideal class")
+            msgs.append(f"rystsov {n} monoid not in the idempotent ideal class")
         m = families.gen_chain(n).dfa
         chain_monoid = monoid.transition_monoid(m)
         if classify.order_class_check(m, "monotonic").status != "in":
-            _fail(msgs, f"chain {n} not monotonic")
+            msgs.append(f"chain {n} not monotonic")
         if monoid.is_aperiodic(chain_monoid).status != "in":
-            _fail(msgs, f"chain {n} not aperiodic")
+            msgs.append(f"chain {n} not aperiodic")
         if monoid.is_in_ds(chain_monoid).status != "in":
-            _fail(msgs, f"chain {n} monoid not in the regular ideal class")
+            msgs.append(f"chain {n} monoid not in the regular ideal class")
     c4 = families.gen_cerny(4).dfa
     c4_monoid = monoid.transition_monoid(c4)
     if classify.is_eulerian(c4).status != "out":
-        _fail(msgs, "cerny 4 misreported eulerian")
+        msgs.append("cerny 4 misreported eulerian")
     if monoid.is_aperiodic(c4_monoid).status != "out":
-        _fail(msgs, "cerny 4 misreported aperiodic")
+        msgs.append("cerny 4 misreported aperiodic")
     if monoid.is_involution_free(c4_monoid).status != "out":
-        _fail(msgs, "cerny 4 misreported involution-free")
+        msgs.append("cerny 4 misreported involution-free")
     if classify.pseudo_eulerian_weights(c4).status != "out":
-        _fail(msgs, "cerny 4 misreported weight-feasible")
+        msgs.append("cerny 4 misreported weight-feasible")
     return not msgs, "; ".join(msgs) or "all ground truths hold"
 
 
@@ -555,21 +575,20 @@ def crit_extension_class_properties(max_n, samples=40):
         try:
             prof = engine.extensibility_profile(d)
         except engine.NotExtensible as exc:
-            _fail(msgs, f"{kind} n={d.n}: subset not extensible: {exc}")
+            msgs.append(f"{kind} n={d.n}: subset not extensible: {exc}")
             break
         n = d.n
         if kind == "eulerian" and prof.max_length > n - 1:
-            _fail(msgs, f"eulerian n={n}: extension length {prof.max_length} > n-1")
+            msgs.append(f"eulerian n={n}: extension length {prof.max_length} > n-1")
             break
         if kind == "one-cluster" and prof.max_length > 2 * n:
-            _fail(msgs, f"one-cluster n={n}: extension length {prof.max_length} > 2n")
+            msgs.append(f"one-cluster n={n}: extension length {prof.max_length} > 2n")
             break
         if kind == "completely-reachable":
-            import math
             for size, length in prof.by_size.items():
                 cap = 2 * n - math.ceil(n / (n - size))
                 if length > cap:
-                    _fail(msgs, f"reachable n={n}: size {size} took {length} > {cap}")
+                    msgs.append(f"reachable n={n}: size {size} took {length} > {cap}")
                     break
     return not msgs, "; ".join(msgs) or f"{len(cases)} instances profiled"
 
@@ -584,29 +603,28 @@ def crit_eulerian_census(max_n, samples=None):
 
 
 def crit_bound_registry(max_n, samples=None):
-    from fractions import Fraction
     msgs = []
     if bounds.bound_for_class("pin_frankl", 10) != 165:
-        _fail(msgs, "pin_frankl(10) != 165")
+        msgs.append("pin_frankl(10) != 165")
     if bounds.bound_for_class("kari_eulerian", 5) != 13:
-        _fail(msgs, "kari_eulerian(5) != 13")
+        msgs.append("kari_eulerian(5) != 13")
     expected = Fraction(85059 * 1000 + 90024 * 100 + 196504 * 10 - 10648, 511104)
     if bounds.bound_for_class("szykula", 10) != expected:
-        _fail(msgs, "szykula(10) mismatch")
+        msgs.append("szykula(10) mismatch")
     for entry in bounds.REGISTRY.values():
         if entry.scale != "quadratic":
             continue
         for n in range(max(2, entry.min_n), min(10, max_n) + 1):
             params = {p: 1 for p in entry.params}
             if bounds.bound_for_class(entry.id, n, **params) < (n - 1) ** 2:
-                _fail(msgs, f"{entry.id} at n={n} dips below the square")
+                msgs.append(f"{entry.id} at n={n} dips below the square")
     for n in range(3, min(7, max_n) + 1):
         rt, _ = engine.exact_reset_threshold(families.gen_rystsov(n).dfa)
         if rt > bounds.bound_for_class("b1", n):
-            _fail(msgs, f"b1 bound misses its own family at n={n}")
+            msgs.append(f"b1 bound misses its own family at n={n}")
         rt, _ = engine.exact_reset_threshold(families.gen_chain(n).dfa)
         if rt > bounds.bound_for_class("c1", n):
-            _fail(msgs, f"c1 bound misses its own family at n={n}")
+            msgs.append(f"c1 bound misses its own family at n={n}")
     return not msgs, "; ".join(msgs) or "registry checks hold"
 
 

@@ -158,10 +158,10 @@ def is_in_ds(m, cap=DS_CAP):
     return Verdict("out", witness={"y": list(m.words[y]), "z": list(m.words[z])})
 
 
-def is_in_eds(m, cap=DS_CAP):
+def is_in_eds(m):
     """The idempotent-generated submonoid satisfies the ideal implication."""
-    if len(m) > cap:
-        raise CapExceeded(f"monoid of size {len(m)} exceeds the ideal-check cap {cap}")
+    if len(m) > DS_CAP:
+        raise CapExceeded(f"monoid of size {len(m)} exceeds the ideal-check cap {DS_CAP}")
     sub = closure(m.n, [m.elements[i] for i in m.idempotents()])
     bad = _ds_core(sub.elements, sub.generators)
     if bad is None:
@@ -169,15 +169,15 @@ def is_in_eds(m, cap=DS_CAP):
     return Verdict("out", witness={"submonoid_size": len(sub)})
 
 
-def monoid_summary(d, cap=MONOID_CAP, ds_cap=DS_CAP):
+def monoid_summary(d, cap=MONOID_CAP):
     """Size, idempotent count, and the four monoid verdicts for one automaton."""
     m = transition_monoid(d, cap)
     out = {"size": len(m), "idempotents": len(m.idempotents())}
     out["aperiodic"] = is_aperiodic(m).to_json()
     out["involution_free"] = is_involution_free(m).to_json()
     try:
-        out["ds"] = is_in_ds(m, ds_cap).to_json()
-        out["eds"] = is_in_eds(m, ds_cap).to_json()
+        out["ds"] = is_in_ds(m).to_json()
+        out["eds"] = is_in_eds(m).to_json()
     except CapExceeded as exc:
         out["ds"] = Verdict("unknown", note=f"cap: {exc}").to_json()
         out["eds"] = Verdict("unknown", note=f"cap: {exc}").to_json()

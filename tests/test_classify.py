@@ -325,6 +325,15 @@ class TestIntervals:
         with pytest.raises(InputError):
             classify.Digraph.from_json({"n": 2, "edges": [[0, 5]]})
 
+    def test_graph_json_rejects_boolean_n(self):
+        with pytest.raises(InputError, match="n: expected a positive integer"):
+            classify.Digraph.from_json({"n": True, "edges": []})
+
+    def test_graph_json_rejects_non_integer_endpoints(self):
+        for edge in (["x", 1], [0, "1"], [0, False]):
+            with pytest.raises(InputError, match=r"edges\[0\]"):
+                classify.Digraph.from_json({"n": 2, "edges": [edge]})
+
 
 class TestReport:
     def test_cerny_ground_truths(self):

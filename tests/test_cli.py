@@ -93,6 +93,18 @@ class TestClassifyMonoidBound:
         assert code == 0
         assert json.loads(out)["a4"]["status"] == "in"
 
+    @pytest.mark.parametrize("text", [None, "not json", '{"n": 4, "edges": [["x", 1]]}'])
+    def test_classify_malformed_delta_graph_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "c4.json"
+        run(capsys, "gen", "cerny", "--n", "4", "-o", str(path))
+        gpath = tmp_path / "g.json"
+        if text is not None:
+            gpath.write_text(text)
+        code, out, err = run(capsys, "classify", str(path), "--classes", "a4",
+                             "--delta-graph", str(gpath))
+        assert code == 2 and out == ""
+        assert str(gpath) in err and "Traceback" not in err
+
     def test_monoid_summary(self, capsys, tmp_path):
         path = tmp_path / "m4.json"
         run(capsys, "gen", "chain", "--n", "4", "-o", str(path))
@@ -171,6 +183,12 @@ class TestVerifyAndEnum:
         code, out, err = run(capsys, *args)
         assert code == 2 and out == ""
         assert f"{path}:3:" in err
+
+    def test_enum_checkpoint_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "enum", "--letters", "2", "--states", "3",
+                             "--checkpoint", str(tmp_path))
+        assert code == 2 and out == ""
+        assert str(tmp_path) in err and "Traceback" not in err
 
     def test_enum_budget_exit(self, capsys):
         code, _, err = run(capsys, "enum", "--letters", "2", "--states", "7")

@@ -185,6 +185,12 @@ class TestGraph:
         assert not core.is_strongly_connected(chain(4))
         assert core.is_strongly_connected(chain(1))
 
+    def test_reach_returns_bfs_depths(self):
+        # 0 -> 1 -> 2 -> 3 plus a shortcut 0 -> 2; 4 -> 0 is unreachable from 0
+        succs = [[1, 2], [2], [3], [], [0]]
+        assert core.reach(succs, 0) == {0: 0, 1: 1, 2: 1, 3: 2}
+        assert core.reach(succs, 3) == {3: 0}
+
     def test_scc_partition(self):
         succs = [[1], [0], [3], [3]]
         comp = core.strongly_connected_components(4, succs)

@@ -107,7 +107,7 @@ class TestExactResetThreshold:
             full = (1 << d.n) - 1
             backward = []
             for q in range(d.n):
-                found = engine._backward_lexmin(d, pre, 1 << q, lambda m: m == full)
+                found = engine._backward_lexmin(d, pre, (1 << q,), lambda m: m == full)
                 if found is not None:
                     backward.append((len(found[0]), found[0]))
             assert engine.exact_reset_threshold(d) == min(backward)
@@ -231,6 +231,15 @@ class TestEppstein:
 
     def test_one_state(self):
         assert engine.eppstein_orientable_word(one_state()).word == ()
+
+    def test_word_is_the_least_shortest_reset_word(self):
+        # both series are orientable under the identity order and the interval
+        # solver searches every interval, so it finds the exact search's word
+        from synchro import families
+        dfas = ([cerny(n) for n in range(2, 13)]
+                + [families.gen_dnk(n, n - 1).dfa for n in range(3, 12)])
+        for d in dfas:
+            assert engine.eppstein_orientable_word(d).word == engine.exact_reset_threshold(d)[1]
 
     def test_rejects_unorientable_order(self):
         # swapping two cycle states breaks the order for letter b
@@ -390,6 +399,35 @@ class TestSolverInvariants:
         obj = res.to_json(d)
         assert obj["length"] == len(obj["word"])
         assert set(obj) == {"method", "word", "length", "target"}
+
+    def test_merge_probe_target_matches_forward_pair_search(self):
+        # reference: merge the two least states of the current set by a
+        # forward BFS in the pair automaton, letters in index order
+        def merge_word(d, p, q):
+            parent = {(p, q): None}
+            queue = [(p, q)]
+            for pair in queue:
+                for a, row in enumerate(d.delta):
+                    pp, qq = sorted((row[pair[0]], row[pair[1]]))
+                    if pp == qq:
+                        word = [a]
+                        while parent[pair] is not None:
+                            pair, b = parent[pair]
+                            word.append(b)
+                        return word[::-1]
+                    if (pp, qq) not in parent:
+                        parent[(pp, qq)] = (pair, a)
+                        queue.append((pp, qq))
+            raise AssertionError("pair cannot be merged")
+
+        rng = random.Random(71)
+        for _ in range(500):
+            d = random_sync(rng.randrange(2, 11), rng.randrange(1, 5), rng)
+            cur = set(range(d.n))
+            while len(cur) > 1:
+                p, q = sorted(cur)[:2]
+                cur = {core.apply_word(d, s, merge_word(d, p, q)) for s in cur}
+            assert engine.merge_probe_target(d) == cur.pop()
 
     def test_merge_probe_target_is_resettable(self):
         rng = random.Random(55)

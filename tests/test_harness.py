@@ -114,6 +114,32 @@ class TestCensus:
         with pytest.raises(InputError, match="missing"):
             harness.census_max_rt(filt, checkpoint=str(ck))
 
+    @pytest.mark.parametrize("field,value,culprit", [
+        ("shard", None, "shard"),
+        ("shard", 3, "shard"),
+        ("shard", True, "shard"),
+        ("classes", "7", "classes"),
+        ("max_rt", 2.0, "max_rt"),
+        ("attainers", {}, "attainers"),
+    ])
+    def test_resume_rejects_a_malformed_record(self, tmp_path, field, value, culprit):
+        filt = harness.EnumerationFilter(letters=2, states=3)
+        rec = {"shard": 0, "filter": dataclasses.asdict(filt), "classes": 0,
+               "max_rt": -1, "attainers": []}
+        if value is None:
+            del rec[field]
+        else:
+            rec[field] = value
+        ck = tmp_path / "census.jsonl"
+        ck.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(InputError, match=re.escape(f"{ck}:1: {culprit}")):
+            harness.census_max_rt(filt, checkpoint=str(ck))
+
+    def test_unreadable_checkpoint_is_an_input_error(self, tmp_path):
+        filt = harness.EnumerationFilter(letters=2, states=3)
+        with pytest.raises(InputError, match=re.escape(str(tmp_path))):
+            harness.census_max_rt(filt, checkpoint=str(tmp_path))
+
 
 class TestRandomSources:
     def test_random_synchronizing_deterministic(self):
