@@ -78,19 +78,16 @@ def quasi_one_cluster_degree(d, a):
 
 def is_eulerian(d):
     """Uniform in-degree |letters| at every state plus a connected graph."""
-    g = core.underlying_graph(d)
     indeg = [0] * d.n
-    for (u, v), c in g.mult:
-        indeg[v] += c
-    bad = [q for q in range(d.n) if indeg[q] != d.k]
-    if bad:
-        return Verdict("out", witness=["in-degree", bad[0], indeg[bad[0]]])
-    # degree condition holds, so weak connectivity suffices
-    neighbors = [set() for _ in range(d.n)]
-    for (u, v), _ in g.mult:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    seen = core.reach(neighbors, 0)
+    for row in d.delta:
+        for t in row:
+            indeg[t] += 1
+    for q, c in enumerate(indeg):
+        if c != d.k:
+            return Verdict("out", witness=["in-degree", q, c])
+    # every state now has in-degree = out-degree = |letters|, and in such a
+    # graph the states reachable from 0 are exactly 0's weak component
+    seen = core.reach(list(zip(*d.delta)), 0)
     if len(seen) != d.n:
         return Verdict("out", witness=["disconnected", sorted(seen)])
     return Verdict("in", witness=indeg)
@@ -307,7 +304,7 @@ def _nondecreasing(seq):
 
 
 def _letter_order_ok(cls, seq, n):
-    if cls == "monotonic":
+    if cls in ("monotonic", "zero_monotonic"):
         return _nondecreasing(seq)
     if cls == "weakly_monotonic":
         return _nondecreasing(seq) or _nondecreasing(seq[::-1])
@@ -318,14 +315,13 @@ def _letter_order_ok(cls, seq, n):
     raise AssertionError(cls)
 
 
-def _cycle_prune(d, cls, skip_state=None):
-    # sound necessary conditions on each letter's cycle structure
+def _cycle_prune(d, cls):
+    # a sound necessary condition: no letter has a cycle longer than the shape allows
+    longest = {"monotonic": 1, "zero_monotonic": 1, "weakly_monotonic": 2}.get(cls)
+    if longest is None:
+        return None
     for a, row in enumerate(d.delta):
-        lengths = [len(c) for c in cycles_of(row)
-                   if skip_state is None or skip_state not in c]
-        if cls in ("monotonic", "zero_monotonic") and any(x > 1 for x in lengths):
-            return d.letters[a]
-        if cls == "weakly_monotonic" and any(x > 2 for x in lengths):
+        if any(len(c) > longest for c in cycles_of(row)):
             return d.letters[a]
     return None
 
@@ -336,52 +332,33 @@ def order_class_check(d, cls):
     Cyclic shapes (orientable, weakly orientable) are rotation invariant,
     so the first position is pinned to state 0. Returns the witnessing
     order; for the zero-respecting shape the order covers the non-zero
-    states and the witness records the zero used.
+    states, images equal to the zero are ignored, and the witness records
+    the zero used.
     """
     if cls not in ORDER_CLASSES:
         raise InputError(f"unknown order class {cls!r}")
     n = d.n
     if n > ORDER_SEARCH_CAP:
         raise CapExceeded(f"n={n} exceeds the order-search cap {ORDER_SEARCH_CAP}")
+    zeros = [None]
     if cls == "zero_monotonic":
-        zero = has_zero(d)
-        if zero.status != "in":
+        zeros = [q for q in range(n) if all(row[q] == q for row in d.delta)]
+        if not zeros:
             return Verdict("out", note="no zero state")
-        candidates = [q for q in range(n)
-                      if all(row[q] == q for row in d.delta)]
-        for z in candidates:
-            if _cycle_prune(d, cls, skip_state=z):
-                continue
-            rest = [q for q in range(n) if q != z]
-            for perm in itertools.permutations(rest):
-                pos = {q: i for i, q in enumerate(perm)}
-                ok = True
-                for row in d.delta:
-                    seq = [pos[row[q]] for q in perm
-                           if row[q] != z]
-                    if not _nondecreasing(seq):
-                        ok = False
-                        break
-                if ok:
-                    return Verdict("in", witness={"zero": z, "order": list(perm)})
-        return Verdict("out")
     pruned = _cycle_prune(d, cls)
-    if pruned is not None and cls != "orientable" and cls != "weakly_orientable":
+    if pruned is not None:
+        if cls == "zero_monotonic":
+            return Verdict("out")
         return Verdict("out", note=f"letter {pruned!r} has a cycle no such order allows")
-    if n == 1:
-        return Verdict("in", witness=[0])
-    cyclic = cls in ("orientable", "weakly_orientable")
-    heads = [0] if cyclic else range(n)
-    for head in heads:
-        rest = [q for q in range(n) if q != head]
-        for tail in itertools.permutations(rest):
-            order = (head,) + tail
-            pos = [0] * n
-            for i, q in enumerate(order):
-                pos[q] = i
-            if all(_letter_order_ok(cls, [pos[row[q]] for q in order], n)
+    pinned = 1 if cls in ("orientable", "weakly_orientable") else 0
+    for z in zeros:
+        states = [q for q in range(n) if q != z]
+        for tail in itertools.permutations(states[pinned:]):
+            order = states[:pinned] + list(tail)
+            pos = {q: i for i, q in enumerate(order)}
+            if all(_letter_order_ok(cls, [pos[row[q]] for q in order if row[q] != z], n)
                    for row in d.delta):
-                return Verdict("in", witness=list(order))
+                return Verdict("in", witness=order if z is None else {"zero": z, "order": order})
     return Verdict("out")
 
 
@@ -438,47 +415,25 @@ class Digraph:
         return cls.from_edges(n, pairs)
 
 
-def _avoiding_reach(g, sources, avoid):
-    # states reachable from the out-neighborhood of sources without
-    # passing through avoid
-    seen = set()
-    queue = deque()
-    for s in sources:
-        for v in g.succs[s]:
-            if v not in avoid and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    while queue:
-        u = queue.popleft()
-        for v in g.succs[u]:
-            if v not in avoid and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
 def interval_table(g):
     """intervals[p][r]: states on walks p -> r that avoid p and r internally,
     or the empty set when r is unreachable that way."""
     n = g.n
-    preds = [[] for _ in range(n)]
-    for u in range(n):
-        for v in g.succs[u]:
-            preds[v].append(u)
-    rg = Digraph(n, tuple(tuple(sorted(p)) for p in preds))
+    preds = core.reverse(g.succs)
+
+    def inner(lists, start, cut):
+        # vertices reached from start along lists, entering no vertex of cut
+        kept = [[v for v in vs if v not in cut] for vs in lists]
+        return core.reach(kept, start).keys() - {start}
+
     table = [[frozenset() for _ in range(n)] for _ in range(n)]
     for p in range(n):
         for r in range(n):
-            avoid = {p, r}
-            fwd = _avoiding_reach(g, [p], avoid)
-            bwd = _avoiding_reach(rg, [r], avoid)
+            middle = inner(g.succs, p, {p, r}) & inner(preds, r, {p, r})
             if p == r:
                 # p plus everything on a closed walk through p
-                table[p][r] = frozenset(fwd & bwd | {p})
-                continue
-            direct = r in g.succs[p]
-            middle = fwd & bwd
-            if direct or middle:
+                table[p][r] = frozenset(middle | {p})
+            elif middle or r in g.succs[p]:
                 table[p][r] = frozenset({p, r} | middle)
     return table
 
@@ -487,7 +442,7 @@ def is_dense(g):
     """Within each strongly connected component, every third state lies on
     one of the two walks between any two others."""
     table = interval_table(g)
-    comp = core.strongly_connected_components(g.n, [list(s) for s in g.succs])
+    comp = core.strongly_connected_components(g.n, g.succs)
     for p in range(g.n):
         for r in range(g.n):
             if comp[p] != comp[r]:
@@ -591,7 +546,7 @@ def _verdict_one_cluster(d):
     return Verdict("out")
 
 
-def class_report(d, classes=None, delta_graph=None, monoid_cap=200000):
+def class_report(d, classes=None, delta_graph=None):
     """Evaluate the requested classes (all, by default) on one automaton."""
     requested = list(CLASS_IDS) if classes is None else list(classes)
     built = []
@@ -601,7 +556,7 @@ def class_report(d, classes=None, delta_graph=None, monoid_cap=200000):
         # failure is kept too, so each of them reports it without a rebuild
         if not built:
             try:
-                built.append(monoid.transition_monoid(d, cap=monoid_cap))
+                built.append(monoid.transition_monoid(d))
             except CapExceeded as exc:
                 built.append(exc)
         if isinstance(built[0], CapExceeded):

@@ -17,7 +17,7 @@ from synchro.core import AutomatonError, CapExceeded
 def _load(path):
     try:
         return core.load_dfa(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise core.InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -60,7 +60,10 @@ def cmd_solve(args):
     elif args.method == "eppstein":
         order = None
         if args.order:
-            order = tuple(int(x) for x in args.order.split(","))
+            try:
+                order = tuple(int(x) for x in args.order.split(","))
+            except ValueError as exc:
+                raise core.InputError(f"--order: {exc}") from None
         res = engine.eppstein_orientable_word(d, order)
     elif args.method == "a10":
         res = engine.a10_binary_idempotent_word(d)

@@ -1,10 +1,10 @@
 """Complete deterministic automata and their set dynamics.
 
 States are dense indices 0..n-1; letters are indexed by their position in
-the ordered letter-name list. State subsets are fixed-width bit vectors
-(hard cap 64 states). Everything here is immutable after construction and
-every operation is a pure function of its inputs, so values can be shared
-freely between concurrent workers.
+the ordered letter-name list. State subsets are bit vectors held in
+Python ints, so they have no width limit. Everything here is immutable
+after construction and every operation is a pure function of its inputs, so
+values can be shared freely between concurrent workers.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class CapExceeded(AutomatonError):
     """A configured resource cap would be exceeded."""
 
 
-HARD_STATE_CAP = 64      # bit-vector subset representation
 SUBSET_BFS_CAP = 20      # default cap for power-set searches
 
 
@@ -111,9 +110,6 @@ class StateSet:
     mask: int
 
     def __post_init__(self):
-        if self.n > HARD_STATE_CAP:
-            raise CapExceeded(
-                f"state count {self.n} exceeds the hard subset cap {HARD_STATE_CAP}")
         if not 0 <= self.mask < (1 << self.n):
             raise InputError(f"mask {self.mask:#x} out of range for n={self.n}")
 
@@ -300,27 +296,13 @@ def cycles_of(t):
 
 # -- graphs -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Multigraph:
-    """Directed multigraph with edge multiplicities."""
-
-    n: int
-    mult: tuple  # tuple of ((u, v), count), sorted
-
-    def edge_count(self):
-        return sum(c for _, c in self.mult)
-
-    def in_degree(self, v):
-        return sum(c for (u, w), c in self.mult if w == v)
-
-
-def underlying_graph(d):
-    """The automaton's graph with labels dropped; parallel edges are counted."""
-    counts = {}
-    for row in d.delta:
-        for q, t in enumerate(row):
-            counts[(q, t)] = counts.get((q, t), 0) + 1
-    return Multigraph(d.n, tuple(sorted(counts.items())))
+def reverse(succs):
+    """The predecessor lists of the graph with successor lists succs."""
+    preds = [[] for _ in succs]
+    for u, vs in enumerate(succs):
+        for v in vs:
+            preds[v].append(u)
+    return preds
 
 
 def reach(succs, start):
@@ -339,17 +321,13 @@ def reach(succs, start):
 
 def is_strongly_connected(d):
     """True iff every ordered pair of states is joined by a directed path."""
-    return digraph_strongly_connected(d.n, [{row[q] for row in d.delta} for q in range(d.n)])
+    return digraph_strongly_connected(d.n, list(zip(*d.delta)))
 
 
 def digraph_strongly_connected(n, succs):
     if n == 0:
         return True
-    preds = [[] for _ in range(n)]
-    for u in range(n):
-        for v in succs[u]:
-            preds[v].append(u)
-    return len(reach(succs, 0)) == n and len(reach(preds, 0)) == n
+    return len(reach(succs, 0)) == n and len(reach(reverse(succs), 0)) == n
 
 
 def strongly_connected_components(n, succs):
@@ -373,10 +351,7 @@ def strongly_connected_components(n, succs):
             if not advanced:
                 order.append(u)
                 stack.pop()
-    preds = [[] for _ in range(n)]
-    for u in range(n):
-        for v in succs[u]:
-            preds[v].append(u)
+    preds = reverse(succs)
     comp = [-1] * n
     cid = 0
     for s in reversed(order):

@@ -74,8 +74,6 @@ class ExtensibilityProfile:
 
 
 def _check_subset_cap(n, cap):
-    if n > core.HARD_STATE_CAP:
-        raise CapExceeded(f"n={n} exceeds the hard subset cap {core.HARD_STATE_CAP}")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the exhaustive-search cap {cap}")
 
@@ -418,11 +416,7 @@ def c7_height_word(d):
         raise DomainError("every letter must be a simple idempotent")
     q0 = merge_probe_target(d)
     # heights: BFS depths over reversed edges from the target
-    preds = [set() for _ in range(n)]
-    for row in d.delta:
-        for q, t in enumerate(row):
-            preds[t].add(q)
-    dist = core.reach(preds, q0)
+    dist = core.reach(core.reverse(list(zip(*d.delta))), q0)
     if len(dist) != n:
         raise AssertionError("some state cannot reach the reset target")
     # the forest: each state's least letter one step closer to the target

@@ -33,10 +33,9 @@ class EnumerationFilter:
     strongly_connected: bool = False
     synchronizing: bool = False
     aperiodic: bool = False
-    min_letter_deficiency: int = 0
 
 
-def canonical_table(delta, n, k):
+def canonical_table(delta, n):
     """The least relabeling of a letter-major table under state and letter
     permutations (letter relabeling = sorting the rows)."""
     best = None
@@ -65,11 +64,7 @@ def _is_canonical(delta, n):
     return True
 
 
-def _passes(filt, delta, n):
-    if filt.min_letter_deficiency > 0:
-        if all(core.deficiency(row) < filt.min_letter_deficiency for row in delta):
-            return False
-    d = Dfa(n, tuple(f"x{i}" for i in range(len(delta))), delta)
+def _passes(filt, d):
     if filt.eulerian and classify.is_eulerian(d).status != "in":
         return False
     if filt.strongly_connected and not core.is_strongly_connected(d):
@@ -126,11 +121,9 @@ def enumerate_automata(filt, shard=None):
         for delta in tables:
             if tuple(sorted(delta)) != delta:
                 continue
-            if not _passes(filt, delta, n):
-                continue
-            if not _is_canonical(delta, n):
-                continue
-            yield Dfa(n, letters, delta)
+            d = Dfa(n, letters, delta)
+            if _passes(filt, d) and _is_canonical(delta, n):
+                yield d
 
 
 @dataclass

@@ -34,9 +34,6 @@ class TransitionMonoid:
     def __len__(self):
         return len(self.elements)
 
-    def index(self, t):
-        return self.elements.index(t)
-
     def idempotents(self):
         return [i for i, t in enumerate(self.elements) if compose(t, t) == t]
 
@@ -147,10 +144,10 @@ def _ds_core(elements, generators):
     return None
 
 
-def is_in_ds(m, cap=DS_CAP):
+def is_in_ds(m):
     """Products inside a shared regular ideal class stay in that class."""
-    if len(m) > cap:
-        raise CapExceeded(f"monoid of size {len(m)} exceeds the ideal-check cap {cap}")
+    if len(m) > DS_CAP:
+        raise CapExceeded(f"monoid of size {len(m)} exceeds the ideal-check cap {DS_CAP}")
     bad = _ds_core(m.elements, m.generators)
     if bad is None:
         return Verdict("in", witness=len(m))

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from synchro import classify, core, engine, families
+from synchro import classify, core, engine, families, monoid
 from synchro.core import CapExceeded, Dfa, InputError
 
 
@@ -81,6 +82,41 @@ class TestEulerian:
 
     def test_small_eulerian(self):
         assert classify.is_eulerian(EULERIAN3).status == "in"
+
+    def test_matches_degree_count_and_undirected_search(self):
+        rng = random.Random(53)
+        for i in range(300):
+            n, k = rng.randrange(1, 7), rng.randrange(1, 4)
+            if i % 3 == 0:
+                rows = [[rng.randrange(n) for _ in range(n)] for _ in range(k)]
+            else:
+                # deal k copies of every state over the rows (in-degree k); on
+                # every third draw, deal within the two sides of a random cut
+                cut = rng.randrange(1, n + 1) if i % 3 == 2 else n
+                rows = [[0] * n for _ in range(k)]
+                for block in (range(cut), range(cut, n)):
+                    targets = [q for q in block for _ in range(k)]
+                    rng.shuffle(targets)
+                    for j, (a, q) in enumerate(itertools.product(range(k), block)):
+                        rows[a][q] = targets[j]
+            d = Dfa(n, tuple("abc"[:k]), tuple(map(tuple, rows)))
+            indeg = [sum(row.count(q) for row in rows) for q in range(n)]
+            bad = [q for q in range(n) if indeg[q] != k]
+            seen, todo = {0}, [0]
+            while todo:
+                u = todo.pop()
+                for row in rows:
+                    for v in [row[u]] + [q for q in range(n) if row[q] == u]:
+                        if v not in seen:
+                            seen.add(v)
+                            todo.append(v)
+            if bad:
+                want = {"status": "out", "witness": ["in-degree", bad[0], indeg[bad[0]]]}
+            elif len(seen) < n:
+                want = {"status": "out", "witness": ["disconnected", sorted(seen)]}
+            else:
+                want = {"status": "in", "witness": indeg}
+            assert classify.is_eulerian(d).to_json() == want, rows
 
 
 class TestPseudoEulerian:
@@ -265,6 +301,71 @@ class TestOrderClasses:
         with pytest.raises(CapExceeded):
             classify.order_class_check(cerny(10), "monotonic")
 
+    def test_matches_brute_force_over_all_orders(self):
+        def sorted_(seq):
+            return all(x <= y for x, y in zip(seq, seq[1:]))
+
+        def cyclic(seq):
+            return sum(seq[i] > seq[(i + 1) % len(seq)] for i in range(len(seq))) <= 1
+
+        shapes = {
+            "monotonic": sorted_,
+            "weakly_monotonic": lambda s: sorted_(s) or sorted_(s[::-1]),
+            "orientable": cyclic,
+            "weakly_orientable": lambda s: cyclic(s) or cyclic(s[::-1]),
+            "zero_monotonic": sorted_,
+        }
+
+        def longest_cycle(row):
+            lengths = [0]
+            for q in range(len(row)):
+                x, m = row[q], 1
+                while x != q and m <= len(row):
+                    x, m = row[x], m + 1
+                if x == q:
+                    lengths.append(m)
+            return max(lengths)
+
+        def expected(d, cls):
+            # the first order, in lexicographic order over all n! orders (per
+            # zero, over the other states, for the zero-respecting shape)
+            zeros = [None]
+            if cls == "zero_monotonic":
+                zeros = [q for q in range(d.n) if all(row[q] == q for row in d.delta)]
+                if not zeros:
+                    return {"status": "out", "note": "no zero state"}
+            for z in zeros:
+                for order in itertools.permutations([q for q in range(d.n) if q != z]):
+                    pos = {q: i for i, q in enumerate(order)}
+                    if all(shapes[cls]([pos[row[q]] for q in order if row[q] != z])
+                           for row in d.delta):
+                        witness = list(order) if z is None else {"zero": z, "order": list(order)}
+                        return {"status": "in", "witness": witness}
+            limit = {"monotonic": 1, "weakly_monotonic": 2}.get(cls)
+            for a, row in enumerate(d.delta):
+                if limit is not None and longest_cycle(row) > limit:
+                    return {"status": "out",
+                            "note": f"letter {d.letters[a]!r} has a cycle no such order allows"}
+            return {"status": "out"}
+
+        rng = random.Random(41)
+        for i in range(300):
+            n, k = rng.choice((1, 2, 3, 4, 4, 5, 5, 5)), rng.randrange(1, 4)
+            rows = [[rng.randrange(n) for _ in range(n)] for _ in range(k)]
+            if i % 4 in (1, 3):
+                rows = [sorted(row) for row in rows]
+            if i % 4 in (2, 3):
+                for z in rng.sample(range(n), rng.randrange(1, min(2, n) + 1)):
+                    for row in rows:
+                        row[z] = z
+            if i % 8 >= 4:
+                # hide the natural order behind a relabeling
+                perm = rng.sample(range(n), n)
+                rows = [[perm[row[perm.index(q)]] for q in range(n)] for row in rows]
+            d = Dfa(n, tuple("abc"[:k]), tuple(map(tuple, rows)))
+            for cls in classify.ORDER_CLASSES:
+                assert classify.order_class_check(d, cls).to_json() == expected(d, cls), (rows, cls)
+
 
 class TestD6:
     def test_cerny_in(self):
@@ -309,6 +410,37 @@ class TestIntervals:
         assert table[0][2] == frozenset({0, 1, 2})
         assert table[2][0] == frozenset({2, 3, 0})
         assert table[1][1] == frozenset({0, 1, 2, 3})
+
+    def test_table_matches_per_pair_search(self):
+        def inner(g, start, cut):
+            # states reached from start along edges that enter no state of cut
+            seen, todo = set(), [start]
+            while todo:
+                for v in g.succs[todo.pop()]:
+                    if v not in cut and v not in seen:
+                        seen.add(v)
+                        todo.append(v)
+            return seen
+
+        rng = random.Random(47)
+        for _ in range(150):
+            n = rng.randrange(1, 8)
+            density = rng.choice([0.15, 0.3, 0.5, 0.8])
+            g = classify.Digraph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(n) if rng.random() < density])
+            table = classify.interval_table(g)
+            for p in range(n):
+                for r in range(n):
+                    cut = {p, r}
+                    middle = {q for q in inner(g, p, cut)
+                              if any(r in g.succs[x] for x in inner(g, q, cut) | {q})}
+                    if p == r:
+                        want = middle | {p}
+                    elif middle or r in g.succs[p]:
+                        want = middle | {p, r}
+                    else:
+                        want = set()
+                    assert table[p][r] == want, (g.succs, p, r)
 
     def test_violating_graph_reports_counterexample(self):
         # path graph: 0 -> 1 -> 2 plus automaton that breaks clause 1
@@ -362,10 +494,12 @@ class TestReport:
         with pytest.raises(InputError):
             classify.class_report(cerny(4), classes=["zz"])
 
-    def test_cap_reports_unknown(self):
-        report = classify.class_report(cerny(4), classes=["b3"], monoid_cap=3)
-        assert report["b3"]["status"] == "unknown"
-        assert "cap" in report["b3"]["note"]
+    def test_cap_reports_unknown(self, monkeypatch):
+        monkeypatch.setattr(monoid, "DS_CAP", 3)
+        report = classify.class_report(cerny(4), classes=["b3", "c3"])
+        for cid in ("b3", "c3"):
+            assert report[cid]["status"] == "unknown"
+            assert "cap" in report[cid]["note"]
 
 
 class TestSoundness:

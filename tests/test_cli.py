@@ -71,6 +71,19 @@ class TestSolveAndRt:
         code, _, err = run(capsys, "rt", "/nonexistent.json")
         assert code == 2
 
+    def test_undecodable_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(capsys, "rt", str(path))
+        assert code == 2 and out == ""
+        assert str(path) in err
+
+    def test_non_integer_order_exits_2(self, capsys, c4):
+        code, out, err = run(capsys, "solve", c4, "--method", "eppstein",
+                             "--order", "0,x,2,3")
+        assert code == 2 and out == ""
+        assert "'x'" in err
+
 
 class TestClassifyMonoidBound:
     def test_classify_selected(self, capsys, tmp_path):

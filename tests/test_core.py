@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from synchro import core
+from synchro import core, engine
 from synchro.core import (
-    CapExceeded,
     Dfa,
     InputError,
     PreconditionError,
@@ -154,9 +153,14 @@ class TestImagePreimage:
 
 
 class TestStateSet:
-    def test_hard_cap(self):
-        with pytest.raises(CapExceeded):
-            StateSet.full(65)
+    def test_no_width_limit_beyond_64_states(self):
+        # masks are Python ints, so only the per-call cap bounds a search
+        d = chain(70)
+        assert len(StateSet.full(70)) == 70
+        assert engine.exact_reset_threshold(d, cap=70) == (69, (0,) * 69)
+        for solver in (engine.greedy_compression_word, engine.reset_word_via_extension):
+            word = solver(d, cap=70).word
+            assert len(image(d, StateSet.full(70), word)) == 1
 
     def test_membership_and_len(self):
         s = StateSet.of(6, [0, 3, 5])
@@ -166,20 +170,6 @@ class TestStateSet:
 
 
 class TestGraph:
-    def test_edge_count(self):
-        g = core.underlying_graph(cerny(3))
-        assert g.n == 3 and g.edge_count() == 6
-
-    def test_chain_has_loop(self):
-        g = core.underlying_graph(chain(3))
-        assert g.edge_count() == 3
-        assert ((0, 0), 1) in g.mult
-
-    def test_cerny_in_degree(self):
-        # edges into state 1: 0.a, 1.a, 0.b
-        g = core.underlying_graph(cerny(4))
-        assert g.in_degree(1) == 3
-
     def test_strong_connectivity(self):
         assert core.is_strongly_connected(cerny(6))
         assert not core.is_strongly_connected(chain(4))
@@ -190,6 +180,10 @@ class TestGraph:
         succs = [[1, 2], [2], [3], [], [0]]
         assert core.reach(succs, 0) == {0: 0, 1: 1, 2: 1, 3: 2}
         assert core.reach(succs, 3) == {3: 0}
+
+    def test_reverse_lists_predecessors(self):
+        succs = [[1, 2], [2], [0, 2]]
+        assert core.reverse(succs) == [[2], [0], [0, 1, 2]]
 
     def test_scc_partition(self):
         succs = [[1], [0], [3], [3]]

@@ -199,10 +199,11 @@ class TestDsEds:
             v2 = monoid.is_in_ds(monoid.transition_monoid(d2))
             assert v1.status == v2.status
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         m = monoid.transition_monoid(cerny(4))
+        monkeypatch.setattr(monoid, "DS_CAP", 5)
         with pytest.raises(CapExceeded):
-            monoid.is_in_ds(m, cap=5)
+            monoid.is_in_ds(m)
 
 
 class TestSummary:
