@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,12 +67,6 @@ def is_one_cluster_prime(d):
         if _is_prime(length):
             return Verdict("in", witness=[name, length])
     return Verdict("out")
-
-
-def quasi_one_cluster_degree(d, a):
-    """Total length of the letter's cycles, leaving out a longest one."""
-    lengths = sorted(len(c) for c in cycles_of(d.delta[a]))
-    return sum(lengths[:-1])
 
 
 def is_eulerian(d):
@@ -233,17 +226,7 @@ def is_completely_reachable(d):
     """Every non-empty subset is an image of the full state set."""
     if d.n > REACHABILITY_CAP:
         raise CapExceeded(f"n={d.n} exceeds the reachability cap {REACHABILITY_CAP}")
-    full = (1 << d.n) - 1
-    # kept apart from engine's subset search: recording parents made the paper suite ~20% slower
-    seen = {full}
-    queue = deque([full])
-    while queue:
-        m = queue.popleft()
-        for row in d.delta:
-            m2 = core.image_mask(row, m)
-            if m2 not in seen:
-                seen.add(m2)
-                queue.append(m2)
+    _, seen = engine._subset_search(d, (1 << d.n) - 1, 0)
     if len(seen) == (1 << d.n) - 1:
         return Verdict("in", witness=len(seen))
     missing = next(m for m in range(1, 1 << d.n) if m not in seen)

@@ -28,11 +28,14 @@ def cmd_gen(args):
     inst = families.generate(args.family, **params)
     meta = inst.meta_json()
     if args.output:
-        core.save_dfa(inst.dfa, args.output)
         sidecar = os.path.splitext(args.output)[0] + ".meta.json"
-        with open(sidecar, "w") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
+        try:
+            core.save_dfa(inst.dfa, args.output)
+            with open(sidecar, "w") as fh:
+                json.dump(meta, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise core.InputError(f"cannot write {exc.filename or args.output}: {exc}") from None
         print(f"wrote {args.output} and {sidecar}")
     else:
         # canonical JSON on stdout, metadata block on stderr so pipes stay clean

@@ -160,11 +160,6 @@ def check_word(d, w):
     return tuple(w)
 
 
-def word_from_names(d, names):
-    """Build a word from an iterable of letter names (a string iterates chars)."""
-    return tuple(d.letter_index(x) for x in names)
-
-
 def word_names(d, w):
     return [d.letters[a] for a in w]
 
@@ -227,14 +222,6 @@ def preimage(d, P, w):
 # -- transformations --------------------------------------------------------
 #
 # A transformation is a tuple t of length n with t[q] the image of q.
-
-def word_transformation(d, w):
-    t = tuple(range(d.n))
-    for a in check_word(d, w):
-        row = d.delta[a]
-        t = tuple(row[q] for q in t)
-    return t
-
 
 def compose(t, u):
     """Apply t, then u."""
@@ -369,60 +356,7 @@ def strongly_connected_components(n, succs):
     return comp
 
 
-# -- congruences, quotients, subautomata ------------------------------------
-
-def normalize_partition(d, classes):
-    classes = tuple(classes)
-    if len(classes) != d.n:
-        raise InputError(f"partition must assign a class to each of {d.n} states")
-    relabel = {}
-    out = []
-    for c in classes:
-        if c not in relabel:
-            relabel[c] = len(relabel)
-        out.append(relabel[c])
-    return tuple(out)
-
-
-def congruence_violation(d, classes):
-    """A triple (p, q, a) witnessing that the partition is not a congruence, or None."""
-    classes = normalize_partition(d, classes)
-    reps = {}
-    for q, c in enumerate(classes):
-        reps.setdefault(c, q)
-    for p in range(d.n):
-        q = reps[classes[p]]
-        if q == p:
-            continue
-        for a in range(d.k):
-            if classes[d.delta[a][p]] != classes[d.delta[a][q]]:
-                return (p, q, a)
-    return None
-
-
-def is_congruence(d, classes):
-    return congruence_violation(d, classes) is None
-
-
-def quotient(d, classes):
-    """The quotient automaton on the classes of a congruence.
-
-    Class indices are renumbered by first occurrence; state q maps to class
-    normalize_partition(d, classes)[q].
-    """
-    classes = normalize_partition(d, classes)
-    bad = congruence_violation(d, classes)
-    if bad is not None:
-        p, q, a = bad
-        raise PreconditionError(
-            f"partition is not a congruence: states {p} and {q} split under letter {d.letters[a]!r}")
-    m = max(classes) + 1
-    reps = [0] * m
-    for q in range(d.n - 1, -1, -1):
-        reps[classes[q]] = q
-    delta = tuple(tuple(classes[d.delta[a][reps[c]]] for c in range(m)) for a in range(d.k))
-    return Dfa(m, d.letters, delta, name=d.name and d.name + "/quotient")
-
+# -- subautomata -------------------------------------------------------------
 
 def subautomaton(d, S):
     """Restrict the automaton to a closed state set.

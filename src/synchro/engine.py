@@ -152,12 +152,15 @@ def merge_probe_target(d):
     return cur.bit_length() - 1
 
 
-def _path(parent, node):
-    """The word that leads from the search's start to node, read off parent links."""
+def _path(d, parent, node):
+    """The word from the search's start to node, read off parent links: each
+    letter is the least one carrying the predecessor to the node, the one the
+    search found it by, since it expands letters in index order."""
     word = []
     while parent[node] is not None:
-        node, a = parent[node]
-        word.append(a)
+        m = parent[node]
+        word.append(next(a for a, row in enumerate(d.delta) if image_mask(row, m) == node))
+        node = m
     word.reverse()
     return tuple(word)
 
@@ -166,20 +169,21 @@ def _subset_search(d, start, below):
     """Breadth-first search over the images of the start mask, letters in index order.
 
     Returns (hit, parent): hit is the first image found with fewer than
-    below states, or None when no image is that small; parent maps every
-    reached mask to its (predecessor, letter), and the start to None. Within
-    one BFS level images are discovered in lexicographic order of their
-    words, so _path(parent, hit) is the least shortest such word.
+    below states, or None when no image is that small (below=0 runs the
+    search to exhaustion); parent maps every reached mask to its
+    predecessor, and the start to None. Within one BFS level images are
+    discovered in lexicographic order of their words, so
+    _path(d, parent, hit) is the least shortest such word.
     """
     parent = {start: None}
     queue = deque([start])
     while queue:
         m = queue.popleft()
-        for a, row in enumerate(d.delta):
+        for row in d.delta:
             m2 = image_mask(row, m)
             if m2 in parent:
                 continue
-            parent[m2] = (m, a)
+            parent[m2] = m
             if m2.bit_count() < below:
                 return m2, parent
             queue.append(m2)
@@ -200,7 +204,7 @@ def exact_reset_threshold(d, cap=core.SUBSET_BFS_CAP):
     hit, parent = _subset_search(d, (1 << d.n) - 1, 2)
     if hit is None:
         raise AssertionError("synchronizing automaton ran out of subsets")
-    word = _path(parent, hit)
+    word = _path(d, parent, hit)
     return len(word), word
 
 
@@ -221,7 +225,7 @@ def greedy_compression_word(d, cap=core.SUBSET_BFS_CAP):
         step, parent = _subset_search(d, cur, cur.bit_count())
         if step is None:
             raise AssertionError("no compressing word found for a synchronizing automaton")
-        word += _path(parent, step)
+        word += _path(d, parent, step)
         cur = step
     return _finish(d, word, "greedy")
 
@@ -512,7 +516,7 @@ def _a10_word(d, ia, ib):
     return (ib,) * (n - m) + (v + (ib,) * kk) * (m - 1)
 
 
-# -- number theory helpers -----------------------------------------------------
+# -- number theory helper -----------------------------------------------------
 
 def frobenius_largest_gap(n, k):
     """The largest integer not expressible as a non-negative combination of
@@ -523,12 +527,3 @@ def frobenius_largest_gap(n, k):
         raise DomainError(f"{n} and {k} are not coprime")
     return n * k - n - k
 
-
-def greatest_prime_below(n):
-    """The largest prime strictly below n (trial division; desk scale)."""
-    if n < 3:
-        raise DomainError("needs n >= 3")
-    for p in range(n - 1, 1, -1):
-        if all(p % q for q in range(2, int(math.isqrt(p)) + 1)):
-            return p
-    raise AssertionError("unreachable")

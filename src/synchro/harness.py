@@ -9,6 +9,7 @@ a shard-by-shard run touches every class exactly once and can be resumed.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -35,24 +36,9 @@ class EnumerationFilter:
     aperiodic: bool = False
 
 
-def canonical_table(delta, n):
-    """The least relabeling of a letter-major table under state and letter
-    permutations (letter relabeling = sorting the rows)."""
-    best = None
-    for sigma in itertools.permutations(range(n)):
-        inv = [0] * n
-        for q, s in enumerate(sigma):
-            inv[s] = q
-        cand = tuple(sorted(tuple(sigma[row[inv[q]]] for q in range(n))
-                            for row in delta))
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 def _is_canonical(delta, n):
-    # early-exit variant of canonical_table(delta) == delta, kept inline: a
-    # relabeling generator shared with canonical_table slowed the census by 7%
+    """True iff delta is its own canonical form: no state relabeling, rows
+    sorted, gives a smaller table. Stops at the first smaller one."""
     for sigma in itertools.permutations(range(n)):
         inv = [0] * n
         for q, s in enumerate(sigma):
@@ -681,16 +667,21 @@ def run_suite(suite="paper", max_n=10, workers=1, out_path=None):
     if suite == "quick":
         specs = [s for s in specs if s.case_id not in QUICK_SKIP]
     jobs = [(s, QUICK_OVERRIDES.get(s.case_id) if suite == "quick" else None) for s in specs]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_case, s, max_n, samples) for s, samples in jobs]
-            results = [f.result() for f in futures]
-    else:
-        results = [run_case(s, max_n, samples) for s, samples in jobs]
-    results.sort(key=lambda r: r.case_id)
-    if out_path is not None:
-        with open(out_path, "w") as fh:
+    # open the output before any case runs, so a bad path fails at once
+    try:
+        out = contextlib.nullcontext() if out_path is None else open(out_path, "w")
+    except OSError as exc:
+        raise InputError(f"{out_path}: cannot write the results ({exc})") from None
+    with out:
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(run_case, s, max_n, samples) for s, samples in jobs]
+                results = [f.result() for f in futures]
+        else:
+            results = [run_case(s, max_n, samples) for s, samples in jobs]
+        results.sort(key=lambda r: r.case_id)
+        if out_path is not None:
             for r in results:
-                fh.write(json.dumps(r.to_json(), sort_keys=True) + "\n")
+                out.write(json.dumps(r.to_json(), sort_keys=True) + "\n")
     return results

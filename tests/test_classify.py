@@ -61,12 +61,6 @@ class TestClusters:
         assert classify.is_one_cluster_prime(cerny(6)).status == "out"
         assert classify.is_one_cluster_prime(cerny(5)).status == "in"
 
-    def test_quasi_degree(self):
-        assert classify.quasi_one_cluster_degree(cerny(5), 1) == 0
-        d = families.gen_dnk(5, 2).dfa
-        assert classify.quasi_one_cluster_degree(d, 0) == 2
-        assert classify.quasi_one_cluster_degree(chain(4), 0) == 0
-
 
 class TestEulerian:
     def test_cerny_not_eulerian(self):
@@ -228,6 +222,33 @@ class TestCompletelyReachable:
         with pytest.raises(CapExceeded):
             classify.is_completely_reachable(cerny(17))
 
+    def test_matches_image_closure(self):
+        # second route: close the full set under images as a fixed point,
+        # with no queue, and read the verdict off the closure
+        def closure_verdict(d):
+            seen = {(1 << d.n) - 1}
+            while True:
+                grown = seen | {core.image_mask(row, m) for m in seen for row in d.delta}
+                if grown == seen:
+                    break
+                seen = grown
+            missing = [m for m in range(1, 1 << d.n) if m not in seen]
+            if not missing:
+                return "in", len(seen)
+            return "out", sorted(core.bits(missing[0]))
+
+        tables = [Dfa(3, ("a", "b"), (a, b))
+                  for a in itertools.product(range(3), repeat=3)
+                  for b in itertools.product(range(3), repeat=3)]
+        rng = random.Random(29)
+        for _ in range(300):
+            n, k = rng.randrange(1, 7), rng.randrange(1, 4)
+            tables.append(Dfa(n, tuple("abc"[:k]),
+                              tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(k))))
+        for d in tables:
+            v = classify.is_completely_reachable(d)
+            assert (v.status, v.witness) == closure_verdict(d)
+
 
 class TestRystsovGraph:
     def test_cerny_edges_and_connectivity(self):
@@ -240,7 +261,7 @@ class TestRystsovGraph:
         d = cerny(4)
         g = classify.restricted_rystsov_graph(d)
         for (excl, dupl), w in g.edges.items():
-            t = core.word_transformation(d, w)
+            t = tuple(core.apply_word(d, q, w) for q in range(d.n))
             assert len(w) <= 4
             image = set(t)
             assert core.deficiency(t) == 1

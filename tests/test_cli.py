@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from synchro import cli, core
+from synchro import cli, core, harness
 
 
 def run(capsys, *argv):
@@ -34,6 +34,11 @@ class TestGen:
         code, _, err = run(capsys, "gen", "dnk", "--n", "6", "--k", "3")
         assert code == 2 and "coprime" in err
 
+    def test_output_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "gen", "cerny", "--n", "4", "-o", str(tmp_path))
+        assert code == 2 and out == ""
+        assert str(tmp_path) in err and "Traceback" not in err
+
 
 class TestSolveAndRt:
     @pytest.fixture
@@ -55,7 +60,7 @@ class TestSolveAndRt:
         assert code == 0
         res = json.loads(out)
         d = core.load_dfa(c4)
-        word = core.word_from_names(d, res["word"])
+        word = tuple(d.letter_index(x) for x in res["word"])
         assert len(core.image(d, core.StateSet.full(4), word)) == 1
         assert res["length"] == len(word)
 
@@ -150,6 +155,15 @@ class TestVerifyAndEnum:
         code, out, _ = run(capsys, "verify", "--suite", "quick", "--max-n", "5")
         assert code == 1
         assert "FAIL" in out
+
+    def test_verify_out_directory_exits_2_before_any_case(self, capsys, monkeypatch, tmp_path):
+        ran = []
+        monkeypatch.setattr(harness, "run_case", lambda *a: ran.append(a))
+        code, out, err = run(capsys, "verify", "--suite", "quick", "--max-n", "3",
+                             "--out", str(tmp_path))
+        assert code == 2 and ran == []
+        assert "PASS" not in out and "FAIL" not in out
+        assert str(tmp_path) in err and "Traceback" not in err
 
     def test_enum_count(self, capsys):
         code, out, _ = run(capsys, "enum", "--letters", "2", "--states", "2")

@@ -26,7 +26,7 @@ def chain(n):
 
 
 def w(d, names):
-    return core.word_from_names(d, names)
+    return tuple(d.letter_index(x) for x in names)
 
 
 def random_dfa(n, k, rng):
@@ -194,51 +194,6 @@ class TestGraph:
 
 
 class TestQuotientSubautomaton:
-    def test_identity_partition(self):
-        d = cerny(4)
-        q = core.quotient(d, range(4))
-        assert q.delta == d.delta
-
-    def test_universal_partition(self):
-        d = cerny(4)
-        q = core.quotient(d, [0, 0, 0, 0])
-        assert q.n == 1
-
-    def test_non_congruence_rejected(self):
-        d = cerny(4)
-        # {0,1},{2,3}: 1.b = 2 and 0.b = 1 land in different blocks
-        assert not core.is_congruence(d, [0, 0, 1, 1])
-        with pytest.raises(PreconditionError):
-            core.quotient(d, [0, 0, 1, 1])
-
-    def test_congruence_checker_gates_quotient(self):
-        # pairing adjacent states of the binary idempotent series: the
-        # checker decides, and quotienting follows its verdict
-        from synchro import families
-        d = families.gen_two_idempotent(4).dfa
-        blocks = [0, 0, 1, 1]
-        if core.is_congruence(d, blocks):
-            q = core.quotient(d, blocks)
-            assert q.n == 2
-        else:
-            with pytest.raises(PreconditionError):
-                core.quotient(d, blocks)
-
-    def test_quotient_commutes_with_action(self):
-        rng = random.Random(13)
-        found = 0
-        while found < 5:
-            d = random_dfa(rng.randrange(2, 6), 2, rng)
-            classes = tuple(rng.randrange(2) for _ in range(d.n))
-            if not core.is_congruence(d, classes):
-                continue
-            found += 1
-            q = core.quotient(d, classes)
-            norm = core.normalize_partition(d, classes)
-            word = tuple(rng.randrange(2) for _ in range(5))
-            for s in range(d.n):
-                assert norm[apply_word(d, s, word)] == apply_word(q, norm[s], word)
-
     def test_subautomaton_whole(self):
         d = cerny(4)
         sub, idx = core.subautomaton(d, StateSet.full(4))
@@ -256,15 +211,6 @@ class TestQuotientSubautomaton:
 
 
 class TestTransformations:
-    def test_word_transformation_matches_apply(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            d = random_dfa(rng.randrange(1, 6), 2, rng)
-            word = tuple(rng.randrange(2) for _ in range(rng.randrange(6)))
-            t = core.word_transformation(d, word)
-            for q in range(d.n):
-                assert t[q] == apply_word(d, q, word)
-
     def test_compose_order(self):
         t = (1, 2, 0)
         u = (0, 0, 2)

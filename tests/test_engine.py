@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -147,6 +148,27 @@ class TestGreedy:
         from synchro import families
         d = families.gen_rystsov(4).dfa
         assert engine.greedy_compression_word(d).length <= 6
+
+    def test_each_step_is_least_shortest_compressing_word(self):
+        # second route: each step of the greedy word is the first word in
+        # shortlex order that shrinks the current set, found by brute force
+        def run(d, mask, word):
+            for a in word:
+                mask = core.image_mask(d.delta[a], mask)
+            return mask
+
+        rng = random.Random(61)
+        for _ in range(200):
+            d = random_sync(rng.randrange(2, 8), rng.choice((2, 3)), rng)
+            word = engine.greedy_compression_word(d).word
+            cur, i = (1 << d.n) - 1, 0
+            while cur.bit_count() > 1:
+                step = next(w for length in itertools.count(1)
+                            for w in itertools.product(range(d.k), repeat=length)
+                            if run(d, cur, w).bit_count() < cur.bit_count())
+                assert word[i:i + len(step)] == step
+                cur, i = run(d, cur, step), i + len(step)
+            assert i == len(word)
 
 
 class TestExtension:
@@ -359,25 +381,6 @@ class TestNumberTheory:
         with pytest.raises(DomainError):
             engine.frobenius_largest_gap(6, 4)
 
-    def test_greatest_prime_below(self):
-        assert engine.greatest_prime_below(10) == 7
-        assert engine.greatest_prime_below(4) == 3
-        assert engine.greatest_prime_below(100) == 97
-
-    def test_greatest_prime_below_vs_sieve(self):
-        limit = 200
-        sieve = [True] * limit
-        sieve[0] = sieve[1] = False
-        for i in range(2, limit):
-            if sieve[i]:
-                for j in range(i * i, limit, i):
-                    sieve[j] = False
-        for n in range(3, limit):
-            assert engine.greatest_prime_below(n) == max(p for p in range(2, n) if sieve[p])
-
-    def test_rejects_small_n(self):
-        with pytest.raises(DomainError):
-            engine.greatest_prime_below(2)
 
 
 class TestSolverInvariants:

@@ -1,0 +1,65 @@
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "synchro"
+
+# public API kept for library users although no library code calls it
+KEPT_API = {"Dfa.letter_index", "StateSet.is_full", "ExtensibilityProfile.alpha"}
+
+
+def _references(node, skip=()):
+    """Names used in a subtree, not looking inside the nodes in skip: plain
+    names, attribute names and import aliases."""
+    refs = Counter()
+    stack = [node]
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            refs[sub.name.rsplit(".", 1)[-1]] += 1
+        stack.extend(c for c in ast.iter_child_nodes(sub) if c not in skip)
+    return refs
+
+
+def _definitions(tree):
+    """(qualified name, node, owning class) for top-level functions and classes
+    and for the methods of top-level classes, dunder methods left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node, None
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (sub.name.startswith("__") and sub.name.endswith("__"))):
+                    yield f"{node.name}.{sub.name}", sub, node.name
+
+
+def test_every_library_name_has_a_library_caller():
+    # A definition is live when module-level code or a live definition names
+    # it, so a helper only other dead helpers call is dead too, and a
+    # function calling itself does not keep itself alive.
+    defs, own, live_refs = {}, {}, Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found = list(_definitions(tree))
+        for qualname, node, owner in found:
+            defs[qualname] = (node, owner)
+            methods = {m for _, m, o in found if o == node.name} if owner is None else ()
+            own[qualname] = _references(node, skip=methods)
+        live_refs += _references(tree, skip={node for _, node, owner in found if owner is None})
+    live = set()
+    grew = True
+    while grew:
+        grew = False
+        for qualname, (node, owner) in defs.items():
+            if qualname in live or (owner is not None and owner not in live):
+                continue
+            if live_refs[node.name] or qualname in KEPT_API:
+                live.add(qualname)
+                live_refs += own[qualname]
+                grew = True
+    assert sorted(set(defs) - live) == []

@@ -50,7 +50,7 @@ class TestClosure:
         d = cerny(4)
         m = monoid.transition_monoid(d)
         for t, w in zip(m.elements, m.words):
-            assert core.word_transformation(d, w) == t
+            assert tuple(core.apply_word(d, q, w) for q in range(d.n)) == t
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
