@@ -140,14 +140,18 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
+ENUM_FILTERS = ("eulerian", "strongly-connected", "synchronizing", "aperiodic")
+
+
 def cmd_enum(args):
+    unknown = [name for name in args.filters if name not in ENUM_FILTERS]
+    if unknown:
+        raise core.InputError(f"unknown filter {', '.join(unknown)}; "
+                              f"valid filters: {', '.join(ENUM_FILTERS)}")
     filt = harness.EnumerationFilter(
         letters=args.letters,
         states=args.states,
-        eulerian="eulerian" in args.filters,
-        strongly_connected="strongly-connected" in args.filters,
-        synchronizing="synchronizing" in args.filters,
-        aperiodic="aperiodic" in args.filters,
+        **{name.replace("-", "_"): name in args.filters for name in ENUM_FILTERS},
     )
     if args.report == "count":
         total = sum(1 for _ in harness.enumerate_automata(filt))
@@ -223,7 +227,7 @@ def build_parser():
     e.add_argument("--states", type=int, required=True)
     e.add_argument("--filter", dest="filters", default="",
                    type=lambda s: [x for x in s.split(",") if x],
-                   help="comma list: eulerian,strongly-connected,synchronizing,aperiodic")
+                   help=f"comma list: {','.join(ENUM_FILTERS)}")
     e.add_argument("--report", default="max-rt", choices=["max-rt", "count"])
     e.add_argument("--checkpoint", default=None,
                    help="JSON-lines shard checkpoint; resumes if it exists")

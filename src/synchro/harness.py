@@ -5,6 +5,16 @@ keeping only tables that equal their own canonical form (the
 lexicographically least table over all state and letter relabelings).
 Shards partition the table space by the first letter's image of state 0, so
 a shard-by-shard run touches every class exactly once and can be resumed.
+Relabeling a canonical table by any state permutation cannot give a row
+below its first row, so the first row is the least of its conjugacy class
+{σ·r·σ⁻¹} and no row's class minimum lies below it; the enumeration skips
+every other table before the full canonicity test.
+
+The completely reachable sampler first asks whether every (n-1)-subset is an
+image of Q, a necessary condition: a word reaching one starts, after
+permutation letters, with a letter of rank n-1, and every later letter is
+injective on the current (n-1)-set, so a reach over "Q minus p" vertices
+decides it without building the automaton.
 """
 
 from __future__ import annotations
@@ -35,6 +45,12 @@ class EnumerationFilter:
     synchronizing: bool = False
     aperiodic: bool = False
 
+    def __post_init__(self):
+        for name in ("letters", "states"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise InputError(f"{name} must be an integer >= 1, got {value!r}")
+
 
 def _is_canonical(delta, n):
     """True iff delta is its own canonical form: no state relabeling, rows
@@ -63,19 +79,40 @@ def _passes(filt, d):
 
 
 def _letter_rows(filt, n):
-    """Candidate rows for one letter, indexed by in-degree profile when the
-    Eulerian filter is on (the profiles of the two letters must then sum to
-    a constant |letters| at every state)."""
+    """Candidate rows for one letter, in tuple order, so a row's index is its
+    code (the row read in base n). With the Eulerian filter on, the codes are
+    also indexed by in-degree profile (the profiles of the two letters must
+    then sum to a constant |letters| at every state)."""
     rows = list(itertools.product(range(n), repeat=n))
     if not filt.eulerian:
         return rows, None
     by_profile = {}
-    for row in rows:
+    for code, row in enumerate(rows):
         profile = [0] * n
         for t in row:
             profile[t] += 1
-        by_profile.setdefault(tuple(profile), []).append(row)
+        by_profile.setdefault(tuple(profile), []).append(code)
     return rows, by_profile
+
+
+def _class_minima(rows, n):
+    """least[code] = the code of the least conjugate σ·r·σ⁻¹ of rows[code].
+    Codes run in tuple order, so the first unfilled code is its orbit's
+    minimum; the orbit is then filled in one sweep over the permutations."""
+    least = [-1] * len(rows)
+    perms = list(itertools.permutations(range(n)))
+    for code, row in enumerate(rows):
+        if least[code] >= 0:
+            continue
+        for sigma in perms:
+            conj = [0] * n
+            for q in range(n):
+                conj[sigma[q]] = sigma[row[q]]
+            c = 0
+            for t in conj:
+                c = c * n + t
+            least[c] = code
+    return least
 
 
 def enumerate_automata(filt, shard=None):
@@ -90,25 +127,27 @@ def enumerate_automata(filt, shard=None):
             f"census budget is letters <= {ENUM_LETTER_CAP}, states <= {ENUM_STATE_CAP}")
     letters = tuple(chr(ord("a") + i) for i in range(k))
     rows, by_profile = _letter_rows(filt, n)
-    first_rows = rows if shard is None else [r for r in rows if r[0] == shard]
-    for first in first_rows:
+    least = _class_minima(rows, n)
+    for c1, first in enumerate(rows):
+        if least[c1] != c1 or (shard is not None and first[0] != shard):
+            continue
         if k == 1:
             tables = [(first,)]
-        elif by_profile is not None:
-            profile = [0] * n
-            for t in first:
-                profile[t] += 1
-            need = tuple(k - c for c in profile)
-            if min(need) < 0:
-                continue
-            tables = [(first, second) for second in by_profile.get(need, ())]
         else:
-            tables = [(first, second) for second in rows]
+            if by_profile is not None:
+                profile = [0] * n
+                for t in first:
+                    profile[t] += 1
+                seconds = by_profile.get(tuple(k - c for c in profile), ())
+            else:
+                seconds = range(len(rows))
+            # sorted rows, and no second row conjugate to one below the first
+            tables = [(first, rows[c2]) for c2 in seconds if c2 >= c1 and least[c2] >= c1]
         for delta in tables:
-            if tuple(sorted(delta)) != delta:
+            if not _is_canonical(delta, n):
                 continue
             d = Dfa(n, letters, delta)
-            if _passes(filt, d) and _is_canonical(delta, n):
+            if _passes(filt, d):
                 yield d
 
 
@@ -278,10 +317,43 @@ def random_eulerian_binary(n, seed):
     raise CapExceeded(f"no instance found in {SAMPLER_TRIES} tries")
 
 
+def _reaches_every_corank_one_set(n, delta):
+    """True iff every (n-1)-subset of Q is an image of Q under some word.
+
+    Vertex p stands for Q minus p and vertex n for Q: a permutation letter
+    moves p to its image, a letter of rank n-1 that misses e and merges q1
+    and q2 takes Q, q1 and q2 to e, and letters of lower rank lose a state
+    from every (n-1)-set. A single state passes (its only such set is empty).
+    """
+    if n == 1:
+        return True
+    images = [set(row) for row in delta]
+    if all(len(image) != n - 1 for image in images):
+        return False
+    succs = [[] for _ in range(n + 1)]
+    for row, image in zip(delta, images):
+        if len(image) == n:
+            for p, t in enumerate(row):
+                succs[p].append(t)
+        elif len(image) == n - 1:
+            e = next(q for q in range(n) if q not in image)
+            merged = sum(row) - sum(image)
+            for p, t in enumerate(row):
+                if t == merged:
+                    succs[p].append(e)
+            succs[n].append(e)
+    return len(core.reach(succs, n)) == n + 1
+
+
 def random_completely_reachable_binary(n, seed):
+    """Binary completely reachable instance; draws failing the (n-1)-subset
+    pre-filter are skipped before the full check, so the stream and the
+    accepted table are those of the full check alone."""
     rng = random.Random(seed)
     for _ in range(SAMPLER_TRIES):
         delta = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(2))
+        if not _reaches_every_corank_one_set(n, delta):
+            continue
         d = Dfa(n, ("a", "b"), delta)
         if classify.is_completely_reachable(d).status == "in":
             return d

@@ -221,6 +221,23 @@ class TestVerifyAndEnum:
         code, _, err = run(capsys, "enum", "--letters", "2", "--states", "7")
         assert code == 3
 
+    def test_enum_unknown_filter_exits_2(self, capsys):
+        code, out, err = run(capsys, "enum", "--letters", "2", "--states", "3",
+                             "--filter", "eulrian", "--report", "count")
+        assert code == 2 and out == ""
+        assert "eulrian" in err
+        for name in ("eulerian", "strongly-connected", "synchronizing", "aperiodic"):
+            assert name in err
+
+    @pytest.mark.parametrize("flag", ["--letters", "--states"])
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_enum_size_below_one_exits_2(self, capsys, flag, value):
+        args = ["enum", "--letters", "2", "--states", "3"]
+        args[args.index(flag) + 1] = value
+        code, out, err = run(capsys, *args)
+        assert code == 2 and out == ""
+        assert flag[2:] in err and value in err and "Traceback" not in err
+
     def test_dot(self, capsys, tmp_path):
         path = tmp_path / "c3.json"
         run(capsys, "gen", "cerny", "--n", "3", "-o", str(path))

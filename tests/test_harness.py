@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -23,6 +24,126 @@ def canonical_table(delta, n):
         if best is None or cand < best:
             best = cand
     return best
+
+
+def images_of_q(n, delta):
+    """Every image of the full state set, by a plain closure over frozensets."""
+    seen = {frozenset(range(n))}
+    todo = list(seen)
+    while todo:
+        cur = todo.pop()
+        for row in delta:
+            img = frozenset(row[q] for q in cur)
+            if img not in seen:
+                seen.add(img)
+                todo.append(img)
+    return seen
+
+
+def reference_completely_reachable_binary(n, seed):
+    """The sampler without its pre-filter: draw, then the full check only."""
+    rng = random.Random(seed)
+    for _ in range(harness.SAMPLER_TRIES):
+        delta = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(2))
+        d = Dfa(n, ("a", "b"), delta)
+        if classify.is_completely_reachable(d).status == "in":
+            return d
+    raise CapExceeded("no instance")
+
+
+def mixed_letter(rng, n):
+    """A permutation, a rank n-1 map or a uniform row, a third of the time each,
+    so completely reachable automata are common among the draws."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        return tuple(rng.randrange(n) for _ in range(n))
+    row = list(range(n))
+    rng.shuffle(row)
+    if kind == 1:
+        row[rng.randrange(n)] = row[rng.randrange(n)]
+    return tuple(row)
+
+
+class TestCorankOnePrefilter:
+    def test_never_rejects_a_completely_reachable_table(self):
+        for n in range(1, 5):
+            rows = list(itertools.product(range(n), repeat=n))
+            for delta in itertools.product(rows, repeat=2):
+                if not harness._reaches_every_corank_one_set(n, delta):
+                    d = Dfa(n, ("a", "b"), delta)
+                    assert classify.is_completely_reachable(d).status == "out", delta
+
+    def test_decides_the_corank_one_images_on_seeded_automata(self):
+        rng = random.Random(71)
+        reachable = 0
+        for _ in range(3000):
+            n, k = rng.randrange(1, 9), rng.randrange(1, 4)
+            delta = tuple(mixed_letter(rng, n) for _ in range(k))
+            d = Dfa(n, tuple("abc"[:k]), delta)
+            passed = harness._reaches_every_corank_one_set(n, delta)
+            if classify.is_completely_reachable(d).status == "in":
+                reachable += 1
+                assert passed, delta
+            if n > 1:
+                corank_one = {frozenset(range(n)) - {p} for p in range(n)}
+                assert passed == (corank_one <= images_of_q(n, delta)), delta
+        assert reachable > 300
+
+    def test_sampler_matches_the_unfiltered_sampler(self):
+        for n in range(1, 9):
+            for seed in range(8 if n <= 6 else 2):
+                got = harness.random_completely_reachable_binary(n, seed)
+                assert got.delta == reference_completely_reachable_binary(n, seed).delta
+
+
+def brute_class_minimum(row, n):
+    best = None
+    for sigma in itertools.permutations(range(n)):
+        conj = [0] * n
+        for q in range(n):
+            conj[sigma[q]] = sigma[row[q]]
+        if best is None or tuple(conj) < best:
+            best = tuple(conj)
+    return best
+
+
+@functools.lru_cache(maxsize=None)
+def canonical_sorted_tables(n, k):
+    """Sorted tables in row order that equal their canonical form."""
+    rows = list(itertools.product(range(n), repeat=n))
+    return [delta for delta in itertools.product(rows, repeat=k)
+            if list(delta) == sorted(delta) and canonical_table(delta, n) == delta]
+
+
+FILTERS = {
+    "none": lambda d: True,
+    "eulerian": lambda d: classify.is_eulerian(d).status == "in",
+    "strongly_connected": core.is_strongly_connected,
+    "synchronizing": engine.is_synchronizing,
+}
+
+
+class TestEnumerationOrder:
+    def test_class_minima_match_brute_force(self):
+        for n in range(1, 6):
+            rows = list(itertools.product(range(n), repeat=n))
+            least = harness._class_minima(rows, n)
+            assert [rows[c] for c in least] == [brute_class_minimum(r, n) for r in rows]
+
+    @pytest.mark.parametrize("letters,states,name",
+                             [(2, n, name) for n in range(1, 5) for name in sorted(FILTERS)]
+                             + [(1, n, "none") for n in range(1, 6)])
+    def test_sequence_matches_reference(self, letters, states, name):
+        flags = {} if name == "none" else {name: True}
+        filt = harness.EnumerationFilter(letters=letters, states=states, **flags)
+        keep = FILTERS[name]
+        names = tuple("ab"[:letters])
+        reference = [delta for delta in canonical_sorted_tables(states, letters)
+                     if keep(Dfa(states, names, delta))]
+        assert [d.delta for d in harness.enumerate_automata(filt)] == reference
+        for shard in range(states):
+            part = [d.delta for d in harness.enumerate_automata(filt, shard=shard)]
+            assert part == [delta for delta in reference if delta[0][0] == shard]
 
 
 class TestCanonicalForm:
@@ -81,6 +202,12 @@ class TestEnumeration:
     def test_budget_cap(self):
         with pytest.raises(CapExceeded):
             list(harness.enumerate_automata(harness.EnumerationFilter(2, 7)))
+
+    @pytest.mark.parametrize("letters,states", [(0, 3), (-2, 3), (2, 0), (2, -1),
+                                                (True, 3), (2, 3.0)])
+    def test_sizes_must_be_integers_at_least_one(self, letters, states):
+        with pytest.raises(InputError):
+            harness.EnumerationFilter(letters=letters, states=states)
 
 
 class TestCensus:
