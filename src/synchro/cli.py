@@ -129,6 +129,10 @@ def _worker_count(args):
 
 def cmd_verify(args):
     workers = _worker_count(args)
+    # below the least case size no case runs, and "0/0 cases passed" would pass
+    least = min(spec.min_n for spec in harness.PAPER_CASES)
+    if args.max_n < least:
+        raise core.InputError(f"--max-n {args.max_n} is below {least}, the least case size")
     results = harness.run_suite(args.suite, max_n=args.max_n, workers=workers,
                                 out_path=args.out)
     width = max((len(r.case_id) for r in results), default=10)

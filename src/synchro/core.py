@@ -196,6 +196,43 @@ def preimage_mask(pre_row, mask):
     return out
 
 
+CHUNK = 8    # states per table lookup; 11-bit chunks measured no faster
+CHUNK_MASK = (1 << CHUNK) - 1
+
+
+def union_tables(masks):
+    """Per CHUNK-state chunk, the union of masks[q] over every subset of it.
+
+    tables[c][v] is the union of masks[CHUNK*c + i] over the set bits i of v.
+    """
+    tables = []
+    for base in range(0, len(masks), CHUNK):
+        t = [0]
+        for x in masks[base:base + CHUNK]:
+            t += [y | x for y in t]
+        tables.append(t)
+    return tables
+
+
+def union_mask(tables, mask):
+    """The union of masks[q] over the states q in mask: one lookup per chunk."""
+    out = 0
+    for t in tables:
+        out |= t[mask & CHUNK_MASK]
+        mask >>= CHUNK
+    return out
+
+
+def image_tables(d):
+    """Per letter, the union tables of its image step: union_mask(tables[a], m) is m.a."""
+    return [union_tables([1 << t for t in row]) for row in d.delta]
+
+
+def preimage_tables(d):
+    """Per letter, the union tables of its preimage step: m.a^-1."""
+    return [union_tables(row) for row in letter_preimage_masks(d)]
+
+
 def image(d, P, w):
     """The set P.w of states reachable from P along w. P must be non-empty."""
     if P.n != d.n:

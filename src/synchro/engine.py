@@ -20,8 +20,7 @@ from synchro.core import (
     StateSet,
     bits,
     image_mask,
-    letter_preimage_masks,
-    preimage_mask,
+    union_mask,
 )
 
 EXTENSION_CAP = 16   # default cap for exhaustive per-subset extension searches
@@ -152,35 +151,36 @@ def merge_probe_target(d):
     return cur.bit_length() - 1
 
 
-def _path(d, parent, node):
+def _path(tabs, parent, node):
     """The word from the search's start to node, read off parent links: each
     letter is the least one carrying the predecessor to the node, the one the
-    search found it by, since it expands letters in index order."""
+    search found it by, since it expands letters in index order. tabs are
+    the automaton's core.image_tables."""
     word = []
     while parent[node] is not None:
         m = parent[node]
-        word.append(next(a for a, row in enumerate(d.delta) if image_mask(row, m) == node))
+        word.append(next(a for a, t in enumerate(tabs) if union_mask(t, m) == node))
         node = m
     word.reverse()
     return tuple(word)
 
 
-def _subset_search(d, start, below):
+def _subset_search(tabs, start, below):
     """Breadth-first search over the images of the start mask, letters in index order.
 
-    Returns (hit, parent): hit is the first image found with fewer than
-    below states, or None when no image is that small (below=0 runs the
-    search to exhaustion); parent maps every reached mask to its
-    predecessor, and the start to None. Within one BFS level images are
-    discovered in lexicographic order of their words, so
-    _path(d, parent, hit) is the least shortest such word.
+    tabs are the automaton's core.image_tables. Returns (hit, parent): hit
+    is the first image found with fewer than below states, or None when no
+    image is that small (below=0 runs the search to exhaustion); parent
+    maps every reached mask to its predecessor, and the start to None.
+    Within one BFS level images are discovered in lexicographic order of
+    their words, so _path(tabs, parent, hit) is the least shortest such word.
     """
     parent = {start: None}
     queue = deque([start])
     while queue:
         m = queue.popleft()
-        for row in d.delta:
-            m2 = image_mask(row, m)
+        for t in tabs:
+            m2 = union_mask(t, m)
             if m2 in parent:
                 continue
             parent[m2] = m
@@ -201,10 +201,11 @@ def exact_reset_threshold(d, cap=core.SUBSET_BFS_CAP):
         return 0, ()
     if not is_synchronizing(d):
         raise NotSynchronizing("automaton is not synchronizing")
-    hit, parent = _subset_search(d, (1 << d.n) - 1, 2)
+    tabs = core.image_tables(d)
+    hit, parent = _subset_search(tabs, (1 << d.n) - 1, 2)
     if hit is None:
         raise AssertionError("synchronizing automaton ran out of subsets")
-    word = _path(d, parent, hit)
+    word = _path(tabs, parent, hit)
     return len(word), word
 
 
@@ -219,33 +220,34 @@ def greedy_compression_word(d, cap=core.SUBSET_BFS_CAP):
         return _finish(d, (), "greedy")
     if not is_synchronizing(d):
         raise NotSynchronizing("automaton is not synchronizing")
+    tabs = core.image_tables(d)
     word = ()
     cur = (1 << d.n) - 1
     while cur.bit_count() > 1:
-        step, parent = _subset_search(d, cur, cur.bit_count())
+        step, parent = _subset_search(tabs, cur, cur.bit_count())
         if step is None:
             raise AssertionError("no compressing word found for a synchronizing automaton")
-        word += _path(d, parent, step)
+        word += _path(tabs, parent, step)
         cur = step
     return _finish(d, word, "greedy")
 
 
-def _backward_lexmin(d, pre, starts, stop, node_check=None):
+def _backward_lexmin(pre, starts, stop, node_check=None):
     """Level-synchronized backward BFS under single-letter preimages.
 
-    The start masks form level 0, each with the empty word. Each step
-    prepends a letter to the word, so per level and per subset the
-    lexicographically least word is kept before moving on. Returns the least
-    (word, mask) among the first level's subsets satisfying stop (level 0
-    is not tested), or None.
+    pre are the automaton's core.preimage_tables. The start masks form
+    level 0, each with the empty word. Each step prepends a letter to the
+    word, so per level and per subset the lexicographically least word is
+    kept before moving on. Returns the least (word, mask) among the first
+    level's subsets satisfying stop (level 0 is not tested), or None.
     """
     level = dict.fromkeys(starts, ())
     seen = set(level)
     while level:
         nxt = {}
         for m, w in level.items():
-            for a in range(d.k):
-                t = preimage_mask(pre[a], m)
+            for a, tab in enumerate(pre):
+                t = union_mask(tab, m)
                 if t == 0 or t in seen:
                     # the empty set is a dead end under preimages
                     continue
@@ -266,11 +268,15 @@ def _backward_lexmin(d, pre, starts, stop, node_check=None):
 
 
 def shortest_extending_word(d, P, pre=None):
-    """The least shortest word v with |P.v^-1| > |P|, or None if none exists."""
+    """The least shortest word v with |P.v^-1| > |P|, or None if none exists.
+
+    pre, when given, is core.preimage_tables(d), built once by callers that
+    extend many subsets.
+    """
     if pre is None:
-        pre = letter_preimage_masks(d)
+        pre = core.preimage_tables(d)
     base = P.mask.bit_count()
-    found = _backward_lexmin(d, pre, (P.mask,), lambda m: m.bit_count() > base)
+    found = _backward_lexmin(pre, (P.mask,), lambda m: m.bit_count() > base)
     if found is None:
         return None
     return found[0]
@@ -284,7 +290,7 @@ def extensibility_profile(d):
     """
     _check_subset_cap(d.n, EXTENSION_CAP)
     n = d.n
-    pre = letter_preimage_masks(d)
+    pre = core.preimage_tables(d)
     by_size = {}
     for m in range(1, 1 << n):
         size = m.bit_count()
@@ -311,11 +317,11 @@ def reset_word_via_extension(d, cap=core.SUBSET_BFS_CAP):
         return _finish(d, (), "extension")
     if not is_synchronizing(d):
         raise NotSynchronizing("automaton is not synchronizing")
-    pre = letter_preimage_masks(d)
+    pre = core.preimage_tables(d)
     seed = None
     for q in range(d.n):
         for a in range(d.k):
-            if pre[a][q].bit_count() >= 2:
+            if union_mask(pre[a], 1 << q).bit_count() >= 2:
                 seed = (q, a)
                 break
         if seed:
@@ -324,7 +330,7 @@ def reset_word_via_extension(d, cap=core.SUBSET_BFS_CAP):
         raise NotSynchronizing("no letter merges two states")
     q, a = seed
     word = (a,)
-    mask = pre[a][q]
+    mask = union_mask(pre[a], 1 << q)
     full = (1 << d.n) - 1
     while mask != full:
         v = shortest_extending_word(d, StateSet(d.n, mask), pre)
@@ -332,7 +338,7 @@ def reset_word_via_extension(d, cap=core.SUBSET_BFS_CAP):
             raise NotExtensible(tuple(bits(mask)))
         word = v + word
         for b in reversed(v):
-            mask = preimage_mask(pre[b], mask)
+            mask = union_mask(pre[b], mask)
     return _finish(d, word, "extension")
 
 
@@ -395,7 +401,7 @@ def eppstein_orientable_word(d, order=None):
             raise AssertionError(
                 f"preimage {sorted(bits(mask))} is not an oriented interval")
 
-    found = _backward_lexmin(d, letter_preimage_masks(d), [1 << q for q in range(n)],
+    found = _backward_lexmin(core.preimage_tables(d), [1 << q for q in range(n)],
                              lambda m: m == full, node_check=check_arc)
     if found is None:
         raise AssertionError("no singleton preimage reaches the full set")

@@ -125,6 +125,9 @@ def enumerate_automata(filt, shard=None):
     if n > ENUM_STATE_CAP or k > ENUM_LETTER_CAP:
         raise CapExceeded(
             f"census budget is letters <= {ENUM_LETTER_CAP}, states <= {ENUM_STATE_CAP}")
+    if shard is not None and shard >= 2:
+        # a class-minimal first row sends 0 to 0 (if it fixes a state) or to 1
+        return
     letters = tuple(chr(ord("a") + i) for i in range(k))
     rows, by_profile = _letter_rows(filt, n)
     least = _class_minima(rows, n)

@@ -165,6 +165,19 @@ class TestVerifyAndEnum:
         assert "PASS" not in out and "FAIL" not in out
         assert str(tmp_path) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("max_n", ["1", "0", "-2"])
+    def test_verify_max_n_below_every_case_exits_2(self, capsys, max_n):
+        code, out, err = run(capsys, "verify", "--suite", "quick", "--max-n", max_n)
+        assert code == 2 and out == ""
+        assert "--max-n" in err and "Traceback" not in err
+
+    def test_verify_max_n_below_every_case_writes_no_out_file(self, capsys, tmp_path):
+        path = tmp_path / "results.jsonl"
+        code, out, _ = run(capsys, "verify", "--suite", "paper", "--max-n", "1",
+                           "--out", str(path))
+        assert code == 2 and out == ""
+        assert not path.exists()
+
     def test_enum_count(self, capsys):
         code, out, _ = run(capsys, "enum", "--letters", "2", "--states", "2")
         assert code == 0

@@ -152,6 +152,25 @@ class TestImagePreimage:
                 assert len(image(d, P, word)) <= len(P)
 
 
+class TestUnionTables:
+    # second route for the chunk tables: the per-bit image and preimage steps;
+    # the sizes sit on both sides of the 8-state chunk boundaries
+    @pytest.mark.parametrize("n", sorted(set(range(1, 11)) | {16, 17, 63, 64, 65, 70}))
+    def test_tables_agree_with_per_bit_steps(self, n):
+        rng = random.Random(n)
+        d = random_dfa(n, 3, rng)
+        if n <= 10:
+            masks = range(1 << n)
+        else:
+            masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(300)]
+        img, pre = core.image_tables(d), core.preimage_tables(d)
+        raw = core.letter_preimage_masks(d)
+        for m in masks:
+            for a, row in enumerate(d.delta):
+                assert core.union_mask(img[a], m) == core.image_mask(row, m)
+                assert core.union_mask(pre[a], m) == core.preimage_mask(raw[a], m)
+
+
 class TestStateSet:
     def test_no_width_limit_beyond_64_states(self):
         # masks are Python ints, so only the per-call cap bounds a search

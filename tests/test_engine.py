@@ -104,11 +104,11 @@ class TestExactResetThreshold:
         rng = random.Random(97)
         for _ in range(200):
             d = random_sync(rng.randrange(2, 9), rng.choice((2, 3)), rng)
-            pre = core.letter_preimage_masks(d)
+            pre = core.preimage_tables(d)
             full = (1 << d.n) - 1
             backward = []
             for q in range(d.n):
-                found = engine._backward_lexmin(d, pre, (1 << q,), lambda m: m == full)
+                found = engine._backward_lexmin(pre, (1 << q,), lambda m: m == full)
                 if found is not None:
                     backward.append((len(found[0]), found[0]))
             assert engine.exact_reset_threshold(d) == min(backward)
@@ -438,3 +438,153 @@ class TestSolverInvariants:
             d = random_sync(rng.randrange(2, 6), 2, rng)
             t = engine.merge_probe_target(d)
             assert 0 <= t < d.n
+
+
+# -- per-bit reference searches -----------------------------------------------
+#
+# The subset searches as they stood before the chunk tables: every image and
+# preimage step walks the mask bit by bit. The library's table-driven
+# searches must return the same words.
+
+def ref_path(d, parent, node):
+    word = []
+    while parent[node] is not None:
+        m = parent[node]
+        word.append(next(a for a, row in enumerate(d.delta) if core.image_mask(row, m) == node))
+        node = m
+    word.reverse()
+    return tuple(word)
+
+
+def ref_subset_search(d, start, below):
+    parent = {start: None}
+    queue = [start]
+    for m in queue:
+        for row in d.delta:
+            m2 = core.image_mask(row, m)
+            if m2 in parent:
+                continue
+            parent[m2] = m
+            if m2.bit_count() < below:
+                return m2, parent
+            queue.append(m2)
+    return None, parent
+
+
+def ref_backward_lexmin(d, pre, starts, stop):
+    level = dict.fromkeys(starts, ())
+    seen = set(level)
+    while level:
+        nxt = {}
+        for m, w in level.items():
+            for a in range(d.k):
+                t = core.preimage_mask(pre[a], m)
+                if t == 0 or t in seen:
+                    continue
+                cand = (a,) + w
+                old = nxt.get(t)
+                if old is None or cand < old:
+                    nxt[t] = cand
+        if not nxt:
+            return None
+        hits = [(w, t) for t, w in nxt.items() if stop(t)]
+        if hits:
+            return min(hits)
+        seen.update(nxt)
+        level = nxt
+
+
+def ref_check_synchronizing(d):
+    if not engine.is_synchronizing(d):
+        raise NotSynchronizing("automaton is not synchronizing")
+
+
+def ref_exact_word(d):
+    if d.n == 1:
+        return ()
+    ref_check_synchronizing(d)
+    hit, parent = ref_subset_search(d, (1 << d.n) - 1, 2)
+    return ref_path(d, parent, hit)
+
+
+def ref_greedy_word(d):
+    ref_check_synchronizing(d)
+    word, cur = (), (1 << d.n) - 1
+    while cur.bit_count() > 1:
+        step, parent = ref_subset_search(d, cur, cur.bit_count())
+        word += ref_path(d, parent, step)
+        cur = step
+    return word
+
+
+def ref_extension_word(d):
+    if d.n == 1:
+        return ()
+    ref_check_synchronizing(d)
+    pre = core.letter_preimage_masks(d)
+    q, a = next((q, a) for q in range(d.n) for a in range(d.k) if pre[a][q].bit_count() >= 2)
+    word, mask, full = (a,), pre[a][q], (1 << d.n) - 1
+    while mask != full:
+        base = mask.bit_count()
+        found = ref_backward_lexmin(d, pre, (mask,), lambda m: m.bit_count() > base)
+        if found is None:
+            raise engine.NotExtensible(tuple(core.bits(mask)))
+        word = found[0] + word
+        for b in reversed(found[0]):
+            mask = core.preimage_mask(pre[b], mask)
+    return word
+
+
+def ref_eppstein_word(d):
+    if engine.orientation_violations(d, range(d.n)):
+        raise DomainError("not orientable under the identity order")
+    if d.n == 1:
+        return ()
+    ref_check_synchronizing(d)
+    full = (1 << d.n) - 1
+    found = ref_backward_lexmin(d, core.letter_preimage_masks(d),
+                                [1 << q for q in range(d.n)], lambda m: m == full)
+    return found[0]
+
+
+def outcome(fn, *args):
+    """The word fn returns, or the type of the library error it raises."""
+    try:
+        return fn(*args)
+    except core.AutomatonError as exc:
+        return type(exc)
+
+
+def family_instances(max_n):
+    from synchro import families
+    for name, (gen, params) in families.GENERATORS.items():
+        for n in range(1, max_n + 1):
+            for k in (range(1, n) if "k" in params else [None]):
+                try:
+                    yield (gen(n, k) if k else gen(n)).dfa
+                except DomainError:
+                    pass
+
+
+class TestTablesKeepWords:
+    # (library word, reference word); the first three take the cap as *cap
+    SOLVERS = [
+        (lambda d, *cap: engine.exact_reset_threshold(d, *cap)[1], ref_exact_word),
+        (lambda d, *cap: engine.greedy_compression_word(d, *cap).word, ref_greedy_word),
+        (lambda d, *cap: engine.reset_word_via_extension(d, *cap).word, ref_extension_word),
+        (lambda d: engine.eppstein_orientable_word(d).word, ref_eppstein_word),
+    ]
+
+    def test_every_family_instance_up_to_12_states(self):
+        dfas = list(family_instances(12))
+        assert len(dfas) > 100
+        for d in dfas:
+            for i, (solver, ref) in enumerate(self.SOLVERS):
+                assert outcome(solver, d) == outcome(ref, d), (d.name, i)
+
+    @pytest.mark.parametrize("n, k, seed", [(48, 2, 0), (70, 2, 5)])
+    def test_seeded_random_instances(self, n, k, seed):
+        from synchro import harness
+        d = harness.random_synchronizing(n, k, seed)
+        for i, (solver, ref) in enumerate(self.SOLVERS[:3]):
+            assert outcome(solver, d, 70) == outcome(ref, d), i

@@ -199,6 +199,23 @@ class TestEnumeration:
             sharded |= part
         assert sharded == whole
 
+    @pytest.mark.parametrize("n, names", [
+        *((n, names) for n in range(1, 5)
+          for names in ("none", "eulerian", "strongly_connected", "synchronizing", "aperiodic")),
+        (5, "eulerian"),
+        (5, "eulerian,synchronizing"),
+    ])
+    def test_shards_0_and_1_hold_the_whole_census(self, n, names):
+        # a class-minimal first row sends state 0 to 0 or 1, so shards from 2
+        # on are empty and shards 0 and 1 are the census in order
+        flags = {} if names == "none" else dict.fromkeys(names.split(","), True)
+        filt = harness.EnumerationFilter(letters=2, states=n, **flags)
+        parts = [[d.delta for d in harness.enumerate_automata(filt, shard=s)]
+                 for s in range(n)]
+        whole = [d.delta for d in harness.enumerate_automata(filt)]
+        assert whole == parts[0] + (parts[1] if n > 1 else [])
+        assert not any(parts[2:])
+
     def test_budget_cap(self):
         with pytest.raises(CapExceeded):
             list(harness.enumerate_automata(harness.EnumerationFilter(2, 7)))
