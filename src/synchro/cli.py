@@ -21,6 +21,13 @@ def _load(path):
         raise core.InputError(f"cannot read {path}: {exc}") from None
 
 
+def _cap(flag, value):
+    """The cap, which no automaton could fit when below 1: a usage error."""
+    if value < 1:
+        raise core.InputError(f"{flag}: expected an integer >= 1, got {value}")
+    return value
+
+
 def cmd_gen(args):
     params = {"n": args.n}
     if args.k is not None:
@@ -45,21 +52,23 @@ def cmd_gen(args):
 
 
 def cmd_rt(args):
+    cap = _cap("--cap", args.cap)
     d = _load(args.file)
-    length, word = engine.exact_reset_threshold(d, cap=args.cap)
+    length, word = engine.exact_reset_threshold(d, cap=cap)
     print(json.dumps({"rt": length, "word": core.word_names(d, word)}))
     return 0
 
 
 def cmd_solve(args):
+    cap = _cap("--cap", args.cap)
     d = _load(args.file)
     if args.method == "bfs":
-        length, word = engine.exact_reset_threshold(d, cap=args.cap)
+        length, word = engine.exact_reset_threshold(d, cap=cap)
         res = engine.SolveResult(word, "bfs", core.apply_word(d, 0, word))
     elif args.method == "greedy":
-        res = engine.greedy_compression_word(d, cap=args.cap)
+        res = engine.greedy_compression_word(d, cap=cap)
     elif args.method == "extension":
-        res = engine.reset_word_via_extension(d, cap=args.cap)
+        res = engine.reset_word_via_extension(d, cap=cap)
     elif args.method == "eppstein":
         order = None
         if args.order:
@@ -92,8 +101,9 @@ def cmd_classify(args):
 
 
 def cmd_monoid(args):
+    cap = _cap("--max-size", args.max_size)
     d = _load(args.file)
-    out = monoid.monoid_summary(d, cap=args.max_size)
+    out = monoid.monoid_summary(d, cap=cap)
     print(json.dumps(out, indent=2))
     return 0
 

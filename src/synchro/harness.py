@@ -24,9 +24,11 @@ import itertools
 import json
 import math
 import random
+import struct
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from operator import rshift
 
 from synchro import bounds, classify, core, engine, families, monoid
 from synchro.core import CapExceeded, Dfa, DomainError, InputError, StateSet
@@ -34,6 +36,8 @@ from synchro.core import CapExceeded, Dfa, DomainError, InputError, StateSet
 ENUM_STATE_CAP = 6
 ENUM_LETTER_CAP = 2
 SAMPLER_TRIES = 100000   # rejection-sampling attempts per random_* call
+# _TOP_BITS[b] maps a byte to its top b bits, for the table samplers
+_TOP_BITS = [bytes(x >> (8 - b) for x in range(256)) for b in range(9)]
 
 
 @dataclass(frozen=True)
@@ -246,13 +250,50 @@ def census_max_rt(filt, checkpoint=None):
 
 # -- random instance sources ---------------------------------------------------
 
+def _random_tables(rng, n, k):
+    """Endless k-row tables over range(n) whose entries, in row-major order,
+    are exactly the values successive rng.randrange(n) calls would return.
+
+    randrange(n) keeps the top n.bit_length() bits of one 32-bit word and
+    draws again while they reach n; this rejects whole batches of words at
+    once, from getrandbits, which fills its result from the least significant
+    word up. Batches start at about one table's expected draw and double
+    while below 4096 words; words drawn past the last table taken are lost
+    with rng.
+    """
+    if n < 1 or k < 1:
+        raise InputError(f"tables need n >= 1 and k >= 1, got n={n}, k={k}")
+    bits = n.bit_length()
+    size = n * k
+    batch = k << bits   # n*k entries at 2**bits / n words each
+    if bits <= 8:
+        # the top byte of each word, shifted down, with the rejects deleted
+        shift = _TOP_BITS[bits]
+        reject = bytes(range(n << (8 - bits), 256))
+        pending = b""
+    else:
+        pending = []
+    while True:
+        raw = rng.getrandbits(32 * batch).to_bytes(4 * batch, "little")
+        if bits <= 8:
+            pending += raw[3::4].translate(shift, reject)
+        else:
+            words = struct.unpack(f"<{batch}I", raw)
+            pending += filter(n.__gt__, map(rshift, words, itertools.repeat(32 - bits)))
+        used = len(pending) - len(pending) % size
+        rows = zip(*[iter(pending[:used])] * n)
+        yield from zip(*[rows] * k)
+        pending = pending[used:]
+        if batch < 4096:
+            batch *= 2
+
+
 def random_synchronizing(n, k, seed):
     """A uniformly sampled transition table, rejection-sampled until it
     synchronizes; deterministic per seed."""
-    rng = random.Random(seed)
-    for _ in range(SAMPLER_TRIES):
-        delta = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(k))
-        d = Dfa(n, tuple(chr(ord("a") + i) for i in range(k)), delta)
+    letters = tuple(chr(ord("a") + i) for i in range(k))
+    for delta in itertools.islice(_random_tables(random.Random(seed), n, k), SAMPLER_TRIES):
+        d = Dfa(n, letters, delta)
         if engine.is_synchronizing(d):
             return d
     raise CapExceeded(f"no synchronizing table found in {SAMPLER_TRIES} tries")
@@ -331,7 +372,7 @@ def _reaches_every_corank_one_set(n, delta):
     if n == 1:
         return True
     images = [set(row) for row in delta]
-    if all(len(image) != n - 1 for image in images):
+    if n - 1 not in map(len, images):
         return False
     succs = [[] for _ in range(n + 1)]
     for row, image in zip(delta, images):
@@ -352,9 +393,7 @@ def random_completely_reachable_binary(n, seed):
     """Binary completely reachable instance; draws failing the (n-1)-subset
     pre-filter are skipped before the full check, so the stream and the
     accepted table are those of the full check alone."""
-    rng = random.Random(seed)
-    for _ in range(SAMPLER_TRIES):
-        delta = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(2))
+    for delta in itertools.islice(_random_tables(random.Random(seed), n, 2), SAMPLER_TRIES):
         if not _reaches_every_corank_one_set(n, delta):
             continue
         d = Dfa(n, ("a", "b"), delta)
@@ -370,9 +409,7 @@ def random_one_cluster_binary(n, seed):
     subset containing it non-extensible, so the per-class extension bounds
     are gauged on strongly connected instances only.
     """
-    rng = random.Random(seed)
-    for _ in range(SAMPLER_TRIES):
-        delta = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(2))
+    for delta in itertools.islice(_random_tables(random.Random(seed), n, 2), SAMPLER_TRIES):
         d = Dfa(n, ("a", "b"), delta)
         if (classify.one_cluster_letters(d) and engine.is_synchronizing(d)
                 and core.is_strongly_connected(d)):

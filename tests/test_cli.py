@@ -72,6 +72,18 @@ class TestSolveAndRt:
         code, _, err = run(capsys, "rt", c4, "--cap", "2")
         assert code == 3 and "cap" in err.lower()
 
+    @pytest.mark.parametrize("argv", [
+        ("rt", "--cap", "-1"),
+        ("rt", "--cap", "0"),
+        *(("solve", "--method", method, "--cap", "0")
+          for method in ("bfs", "greedy", "extension", "eppstein")),
+    ])
+    def test_cap_below_one_exits_2(self, capsys, c4, argv):
+        # no automaton fits such a cap, so it is a usage error, not a cap hit
+        code, out, err = run(capsys, argv[0], c4, *argv[1:])
+        assert code == 2 and out == ""
+        assert "--cap" in err and "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "rt", "/nonexistent.json")
         assert code == 2
@@ -131,6 +143,21 @@ class TestClassifyMonoidBound:
         summary = json.loads(out)
         assert summary["size"] == 4
         assert summary["aperiodic"]["status"] == "in"
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_monoid_max_size_below_one_exits_2(self, capsys, tmp_path, size):
+        path = tmp_path / "m4.json"
+        run(capsys, "gen", "chain", "--n", "4", "-o", str(path))
+        code, out, err = run(capsys, "monoid", str(path), "--max-size", size)
+        assert code == 2 and out == ""
+        assert "--max-size" in err
+
+    def test_monoid_max_size_too_small_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "m4.json"
+        run(capsys, "gen", "chain", "--n", "4", "-o", str(path))
+        code, out, err = run(capsys, "monoid", str(path), "--max-size", "2")
+        assert code == 3 and out == ""
+        assert "cap" in err
 
     def test_bound(self, capsys):
         code, out, _ = run(capsys, "bound", "--class", "kari_eulerian", "--n", "5")

@@ -51,6 +51,76 @@ def reference_completely_reachable_binary(n, seed):
     raise CapExceeded("no instance")
 
 
+def randrange_tables(rng, n, k):
+    """Tables drawn entry by entry with rng.randrange(n), row-major."""
+    while True:
+        yield tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(k))
+
+
+def reference_sampler(n, k, seed, accept):
+    """A table sampler drawing with randrange: the first accepted table."""
+    for delta in itertools.islice(randrange_tables(random.Random(seed), n, k),
+                                  harness.SAMPLER_TRIES):
+        d = Dfa(n, tuple("abc"[:k]), delta)
+        if accept(d):
+            return d
+    raise CapExceeded("no instance")
+
+
+def is_one_cluster_instance(d):
+    return (classify.one_cluster_letters(d) and engine.is_synchronizing(d)
+            and core.is_strongly_connected(d))
+
+
+def is_completely_reachable_instance(d):
+    return (harness._reaches_every_corank_one_set(d.n, d.delta)
+            and classify.is_completely_reachable(d).status == "in")
+
+
+# the (n, k, seed) of the seeded random automata perfbench's random_rt builds
+RANDOM_RT = ([(48, 2, s) for s in range(6)] + [(52, 2, s) for s in range(3)]
+             + [(56, 2, 3), (64, 2, 2), (64, 2, 4)]
+             + [(n, 3, s) for n in (32, 36, 40) for s in range(3)])
+
+
+class TestTableStream:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 64, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tables_are_the_randrange_draws(self, n, k):
+        for seed in range(3):
+            got = harness._random_tables(random.Random(seed), n, k)
+            want = randrange_tables(random.Random(seed), n, k)
+            for _ in range(30):
+                assert next(got) == next(want), (n, k, seed)
+
+    @pytest.mark.parametrize("n, k", [(0, 2), (3, 0), (-1, 2)])
+    def test_sizes_below_one_are_input_errors(self, n, k):
+        with pytest.raises(InputError):
+            next(harness._random_tables(random.Random(0), n, k))
+
+    def test_case_6_seeds(self):
+        for i in range(500):
+            n = 2 + i % 7
+            got = harness.random_synchronizing(n, 2, 1000 + i)
+            want = reference_sampler(n, 2, 1000 + i, engine.is_synchronizing)
+            assert got.delta == want.delta, i
+
+    def test_random_rt_seeds(self):
+        for n, k, seed in RANDOM_RT:
+            got = harness.random_synchronizing(n, k, seed)
+            assert got.delta == reference_sampler(n, k, seed, engine.is_synchronizing).delta
+
+    def test_case_11_seeds(self):
+        for i in range(40):
+            n = 4 + i % 5
+            got = harness.random_one_cluster_binary(n, 5000 + i)
+            assert got.delta == reference_sampler(n, 2, 5000 + i, is_one_cluster_instance).delta
+            if i % 4 == 0:
+                got = harness.random_completely_reachable_binary(n, 6000 + i)
+                want = reference_sampler(n, 2, 6000 + i, is_completely_reachable_instance)
+                assert got.delta == want.delta, i
+
+
 def mixed_letter(rng, n):
     """A permutation, a rank n-1 map or a uniform row, a third of the time each,
     so completely reachable automata are common among the draws."""
