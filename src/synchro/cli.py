@@ -60,7 +60,9 @@ def cmd_rt(args):
 
 
 def cmd_solve(args):
-    cap = _cap("--cap", args.cap)
+    if args.cap is not None and args.method not in ("bfs", "greedy", "extension"):
+        raise core.InputError(f"--cap: the {args.method} method takes no cap")
+    cap = core.SUBSET_BFS_CAP if args.cap is None else _cap("--cap", args.cap)
     d = _load(args.file)
     if args.method == "bfs":
         length, word = engine.exact_reset_threshold(d, cap=cap)
@@ -207,7 +209,8 @@ def build_parser():
                    choices=["bfs", "greedy", "extension", "eppstein", "a10", "c7"])
     s.add_argument("--order", default=None,
                    help="state order for the eppstein method, e.g. 0,1,2 (default: natural)")
-    s.add_argument("--cap", type=int, default=core.SUBSET_BFS_CAP)
+    s.add_argument("--cap", type=int, default=None,
+                   help=f"state cap for bfs, greedy and extension (default {core.SUBSET_BFS_CAP})")
     s.set_defaults(fn=cmd_solve)
 
     c = sub.add_parser("classify", help="class membership report")

@@ -92,9 +92,6 @@ class Dfa:
     def k(self):
         return len(self.letters)
 
-    def step(self, q, a):
-        return self.delta[a][q]
-
     def letter_index(self, name):
         try:
             return self.letters.index(name)

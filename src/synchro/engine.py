@@ -152,10 +152,11 @@ def merge_probe_target(d):
 
 
 def _path(tabs, parent, node):
-    """The word from the search's start to node, read off parent links: each
-    letter is the least one carrying the predecessor to the node, the one the
-    search found it by, since it expands letters in index order. tabs are
-    the automaton's core.image_tables."""
+    """The letters from a search's start to node, read off parent links: each
+    is the least letter carrying the predecessor to the node, the one the
+    search found it by, since both subset searches expand letters in index
+    order. tabs are the tables the search stepped by; _subset_search's word
+    is this, _preimage_search's is this reversed."""
     word = []
     while parent[node] is not None:
         m = parent[node]
@@ -232,54 +233,43 @@ def greedy_compression_word(d, cap=core.SUBSET_BFS_CAP):
     return _finish(d, word, "greedy")
 
 
-def _backward_lexmin(pre, starts, stop, node_check=None):
-    """Level-synchronized backward BFS under single-letter preimages.
+def _preimage_search(pre, starts, above):
+    """Level-by-level search over the preimages of the start masks.
 
-    pre are the automaton's core.preimage_tables. The start masks form
-    level 0, each with the empty word. Each step prepends a letter to the
-    word, so per level and per subset the lexicographically least word is
-    kept before moving on. Returns the least (word, mask) among the first
-    level's subsets satisfying stop (level 0 is not tested), or None.
+    pre are the automaton's core.preimage_tables. Returns (hit, parent) as
+    _subset_search does, hit being the first preimage found with more than
+    above states. A step prepends a letter to the word, so letters go in
+    index order on the outside and each level is kept in word order on the
+    inside: every mask is found first by its least word, and
+    _path(pre, parent, hit)[::-1] is the least shortest word. The level
+    holding the hit is searched to its end.
     """
-    level = dict.fromkeys(starts, ())
-    seen = set(level)
-    while level:
-        nxt = {}
-        for m, w in level.items():
-            for a, tab in enumerate(pre):
+    parent = dict.fromkeys(starts)
+    level = list(parent)
+    hit = None
+    while level and hit is None:
+        nxt = []
+        for tab in pre:
+            for m in level:
                 t = union_mask(tab, m)
-                if t == 0 or t in seen:
+                if t == 0 or t in parent:
                     # the empty set is a dead end under preimages
                     continue
-                cand = (a,) + w
-                old = nxt.get(t)
-                if old is None or cand < old:
-                    nxt[t] = cand
-        if not nxt:
-            return None
-        if node_check is not None:
-            for t in nxt:
-                node_check(t)
-        hits = [(w, t) for t, w in nxt.items() if stop(t)]
-        if hits:
-            return min(hits)
-        seen.update(nxt)
+                parent[t] = m
+                nxt.append(t)
+                if hit is None and t.bit_count() > above:
+                    hit = t
         level = nxt
+    return hit, parent
 
 
-def shortest_extending_word(d, P, pre=None):
-    """The least shortest word v with |P.v^-1| > |P|, or None if none exists.
+def shortest_extending_word(pre, mask):
+    """The least shortest word v with |mask.v^-1| > |mask|, or None if none exists.
 
-    pre, when given, is core.preimage_tables(d), built once by callers that
-    extend many subsets.
+    pre are the automaton's core.preimage_tables.
     """
-    if pre is None:
-        pre = core.preimage_tables(d)
-    base = P.mask.bit_count()
-    found = _backward_lexmin(pre, (P.mask,), lambda m: m.bit_count() > base)
-    if found is None:
-        return None
-    return found[0]
+    hit, parent = _preimage_search(pre, (mask,), mask.bit_count())
+    return None if hit is None else _path(pre, parent, hit)[::-1]
 
 
 def extensibility_profile(d):
@@ -296,7 +286,7 @@ def extensibility_profile(d):
         size = m.bit_count()
         if size < 2 or size == n:
             continue
-        v = shortest_extending_word(d, StateSet(n, m), pre)
+        v = shortest_extending_word(pre, m)
         if v is None:
             raise NotExtensible(tuple(bits(m)))
         if len(v) > by_size.get(size, 0):
@@ -333,7 +323,7 @@ def reset_word_via_extension(d, cap=core.SUBSET_BFS_CAP):
     mask = union_mask(pre[a], 1 << q)
     full = (1 << d.n) - 1
     while mask != full:
-        v = shortest_extending_word(d, StateSet(d.n, mask), pre)
+        v = shortest_extending_word(pre, mask)
         if v is None:
             raise NotExtensible(tuple(bits(mask)))
         word = v + word
@@ -401,11 +391,13 @@ def eppstein_orientable_word(d, order=None):
             raise AssertionError(
                 f"preimage {sorted(bits(mask))} is not an oriented interval")
 
-    found = _backward_lexmin(core.preimage_tables(d), [1 << q for q in range(n)],
-                             lambda m: m == full, node_check=check_arc)
-    if found is None:
+    pre = core.preimage_tables(d)
+    hit, parent = _preimage_search(pre, [1 << q for q in range(n)], n - 1)
+    for mask in parent:
+        check_arc(mask)
+    if hit is None:
         raise AssertionError("no singleton preimage reaches the full set")
-    return _finish(d, found[0], "eppstein")
+    return _finish(d, _path(pre, parent, hit)[::-1], "eppstein")
 
 
 # -- all-simple-idempotent solving --------------------------------------------

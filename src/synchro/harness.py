@@ -442,7 +442,7 @@ class CaseResult:
                 "detail": self.detail, "seconds": round(self.seconds, 3)}
 
 
-def crit_cerny_formula(max_n, samples=None):
+def crit_cerny_formula(max_n):
     msgs = []
     count = 0
     for n in range(2, min(10, max_n) + 1):
@@ -459,7 +459,7 @@ def crit_cerny_formula(max_n, samples=None):
     return not msgs, "; ".join(msgs) or f"{count} sizes checked"
 
 
-def crit_dnk_formula(max_n, samples=None):
+def crit_dnk_formula(max_n):
     msgs = []
     pairs = [(n, k) for n, k in [(5, 3), (7, 4), (8, 5), (9, 5), (10, 7)] if n <= max_n]
     for n, k in pairs:
@@ -473,7 +473,7 @@ def crit_dnk_formula(max_n, samples=None):
     return not msgs, "; ".join(msgs) or f"{len(pairs)} pairs checked"
 
 
-def crit_frobenius(max_n, samples=None):
+def crit_frobenius(max_n):
     msgs = []
     top = min(12, max_n)
     for n in range(3, top + 1):
@@ -488,7 +488,7 @@ def crit_frobenius(max_n, samples=None):
     return not msgs, "; ".join(msgs) or f"coprime pairs up to {top} checked"
 
 
-def crit_unbounded_alphabet_families(max_n, samples=None):
+def crit_unbounded_alphabet_families(max_n):
     msgs = []
     for n in range(3, min(7, max_n) + 1):
         for maker in (families.gen_rystsov, families.gen_v):
@@ -499,7 +499,7 @@ def crit_unbounded_alphabet_families(max_n, samples=None):
     return not msgs, "; ".join(msgs) or "both series checked"
 
 
-def crit_linear_families(max_n, samples=None):
+def crit_linear_families(max_n):
     msgs = []
     for n in range(2, min(10, max_n) + 1):
         for maker in (families.gen_chain, families.gen_two_idempotent,
@@ -579,7 +579,7 @@ def crit_c7_solver(max_n, samples=120):
     return not msgs, "; ".join(msgs) or f"{samples} seeded instances checked"
 
 
-def crit_eppstein(max_n, samples=None):
+def crit_eppstein(max_n):
     msgs = []
     for n in range(3, min(8, max_n) + 1):
         d = families.gen_cerny(n).dfa
@@ -602,7 +602,7 @@ def crit_eppstein(max_n, samples=None):
     return not msgs, "; ".join(msgs) or "backward walks stayed within intervals"
 
 
-def crit_classifier_ground_truths(max_n, samples=None):
+def crit_classifier_ground_truths(max_n):
     msgs = []
     for n in range(3, min(10, max_n) + 1):
         d = families.gen_cerny(n).dfa
@@ -684,7 +684,7 @@ def crit_extension_class_properties(max_n, samples=40):
     return not msgs, "; ".join(msgs) or f"{len(cases)} instances profiled"
 
 
-def crit_eulerian_census(max_n, samples=None):
+def crit_eulerian_census(max_n):
     filt = EnumerationFilter(letters=2, states=5, eulerian=True, synchronizing=True)
     report = census_max_rt(filt)
     ok = report.max_rt == 10 and len(report.attainers) == 1
@@ -693,7 +693,7 @@ def crit_eulerian_census(max_n, samples=None):
     return ok, detail
 
 
-def crit_bound_registry(max_n, samples=None):
+def crit_bound_registry(max_n):
     msgs = []
     if bounds.bound_for_class("pin_frankl", 10) != 165:
         msgs.append("pin_frankl(10) != 165")

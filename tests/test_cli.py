@@ -84,6 +84,19 @@ class TestSolveAndRt:
         assert code == 2 and out == ""
         assert "--cap" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("method", ["bfs", "greedy", "extension"])
+    def test_solve_cap_applies_to_subset_methods(self, capsys, c4, method):
+        code, out, err = run(capsys, "solve", c4, "--method", method, "--cap", "2")
+        assert code == 3 and out == "" and "cap" in err
+
+    @pytest.mark.parametrize("method", ["eppstein", "a10", "c7"])
+    @pytest.mark.parametrize("cap", ["2", "30"])
+    def test_solve_cap_on_an_uncapped_method_exits_2(self, capsys, c4, method, cap):
+        # the flag would be silently ignored, so it is a usage error
+        code, out, err = run(capsys, "solve", c4, "--method", method, "--cap", cap)
+        assert code == 2 and out == ""
+        assert "--cap" in err and method in err and "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "rt", "/nonexistent.json")
         assert code == 2

@@ -100,18 +100,21 @@ class TestExactResetThreshold:
 
     def test_matches_backward_search_from_singletons(self):
         # independent route: grow each singleton's preimage until it is the
-        # full set; the least of those words is the least shortest reset word
+        # full set; the least of those words is the least shortest reset word,
+        # and one search from all singletons at once finds it too
         rng = random.Random(97)
         for _ in range(200):
             d = random_sync(rng.randrange(2, 9), rng.choice((2, 3)), rng)
             pre = core.preimage_tables(d)
-            full = (1 << d.n) - 1
             backward = []
             for q in range(d.n):
-                found = engine._backward_lexmin(pre, (1 << q,), lambda m: m == full)
-                if found is not None:
-                    backward.append((len(found[0]), found[0]))
+                hit, parent = engine._preimage_search(pre, (1 << q,), d.n - 1)
+                if hit is not None:
+                    word = engine._path(pre, parent, hit)[::-1]
+                    backward.append((len(word), word))
             assert engine.exact_reset_threshold(d) == min(backward)
+            hit, parent = engine._preimage_search(pre, [1 << q for q in range(d.n)], d.n - 1)
+            assert engine._path(pre, parent, hit)[::-1] == min(backward)[1]
 
     def test_not_synchronizing(self):
         d = Dfa(2, ("a", "b"), ((0, 1), (1, 0)))
@@ -223,7 +226,7 @@ class TestExtension:
                 P = StateSet(3, m)
                 if len(P) != 2:
                     continue
-                v = engine.shortest_extending_word(d, P)
+                v = engine.shortest_extending_word(core.preimage_tables(d), P.mask)
                 # oracle: try all words by increasing length
                 best = None
                 for length in range(0, 8):

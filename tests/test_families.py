@@ -86,9 +86,9 @@ class TestStructure:
         # spot checks against the ten-state picture with k = 7
         d = families.gen_dnk(10, 7).dfa
         a = d.letter_index("a")
-        assert d.step(6, a) == 0
-        assert d.step(9, a) == 3
-        assert d.step(2, a) == 3
+        assert d.delta[a][6] == 0
+        assert d.delta[a][9] == 3
+        assert d.delta[a][2] == 3
 
     def test_dnk_one_cluster_flag(self):
         assert families.gen_dnk(10, 7).notes["one_cluster_applicable"]
@@ -101,13 +101,13 @@ class TestStructure:
     def test_rystsov_swaps(self):
         d = families.gen_rystsov(4).dfa
         a2 = d.letter_index("a2")
-        assert d.step(1, a2) == 2 and d.step(2, a2) == 1 and d.step(3, a2) == 3
+        assert d.delta[a2][1] == 2 and d.delta[a2][2] == 1 and d.delta[a2][3] == 3
 
     def test_v_extra_letter(self):
         d = families.gen_v(4).dfa
         an = d.letter_index("a4")
-        assert d.step(1, an) == 0
-        assert d.step(0, an) == 0 and d.step(2, an) == 2
+        assert d.delta[an][1] == 0
+        assert d.delta[an][0] == 0 and d.delta[an][2] == 2
 
     def test_two_idempotent_letters_are_idempotent(self):
         for n in (2, 5, 8):

@@ -10,7 +10,8 @@ KEPT_API = {"Dfa.letter_index", "StateSet.is_full", "ExtensibilityProfile.alpha"
 
 def _references(node, skip=()):
     """Names used in a subtree, not looking inside the nodes in skip: plain
-    names, attribute names and import aliases."""
+    names and import aliases as themselves, attribute names also with a
+    leading dot, which alone can reach a method."""
     refs = Counter()
     stack = [node]
     while stack:
@@ -19,6 +20,7 @@ def _references(node, skip=()):
             refs[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             refs[sub.attr] += 1
+            refs["." + sub.attr] += 1
         elif isinstance(sub, ast.alias):
             refs[sub.name.rsplit(".", 1)[-1]] += 1
         stack.extend(c for c in ast.iter_child_nodes(sub) if c not in skip)
@@ -41,7 +43,9 @@ def _definitions(tree):
 def test_every_library_name_has_a_library_caller():
     # A definition is live when module-level code or a live definition names
     # it, so a helper only other dead helpers call is dead too, and a
-    # function calling itself does not keep itself alive.
+    # function calling itself does not keep itself alive. A method is named
+    # only by an attribute reference: a bare local of the same name does not
+    # keep it alive.
     defs, own, live_refs = {}, {}, Counter()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -58,7 +62,8 @@ def test_every_library_name_has_a_library_caller():
         for qualname, (node, owner) in defs.items():
             if qualname in live or (owner is not None and owner not in live):
                 continue
-            if live_refs[node.name] or qualname in KEPT_API:
+            key = node.name if owner is None else "." + node.name
+            if live_refs[key] or qualname in KEPT_API:
                 live.add(qualname)
                 live_refs += own[qualname]
                 grew = True
