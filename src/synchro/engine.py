@@ -160,10 +160,15 @@ def _path(tabs, parent, node):
     word = []
     while parent[node] is not None:
         m = parent[node]
-        word.append(next(a for a, t in enumerate(tabs) if union_mask(t, m) == node))
+        word.append(_least_letter(tabs, m, node.__eq__))
         node = m
     word.reverse()
     return tuple(word)
+
+
+def _least_letter(tabs, m, ok):
+    """The least letter a for which ok(union_mask(tabs[a], m)) holds."""
+    return next(a for a, t in enumerate(tabs) if ok(union_mask(t, m)))
 
 
 def _subset_search(tabs, start, below):
@@ -191,22 +196,155 @@ def _subset_search(tabs, start, below):
     return None, parent
 
 
+FIT_SCAN = 8   # levels no wider than this or than n are scanned mask by mask
+# _ABSENT[i][v] is "1" where bit i of the byte v is clear, "0" where it is set
+_ABSENT = [(b"1" * (1 << i) + b"0" * (1 << i)) * (128 >> i) for i in range(8)]
+
+
+def _fit_test(level, n):
+    """A predicate: does a mask fit inside (is it a subset of) some mask of level?
+
+    A level of at most max(FIT_SCAN, n) masks is scanned: its fit tables,
+    256 unions per 8-state chunk, would cost more to build than the scans
+    they save. A wider one gets fit tables, the union tables of absent[q],
+    whose bit t is set iff state q is not in level[t]. The union over a
+    mask's states misses bit t iff the mask fits level[t], so the mask fits
+    some member iff the union is not all ones. absent[q] is read off the
+    level packed into bytes, last mask first: every mask's byte q // 8,
+    translated to a binary digit by its bit q % 8.
+    """
+    if len(level) <= max(FIT_SCAN, n):
+        return _scan_fit(level)
+    size = (n + 7) // 8
+    packed = b"".join(t.to_bytes(size, "little") for t in reversed(level))
+    tables = core.union_tables([int(packed[q >> 3::size].translate(_ABSENT[q & 7]), 2)
+                                for q in range(n)])
+    full = (1 << len(level)) - 1
+    return lambda m: union_mask(tables, m) != full
+
+
+def _scan_fit(level):
+    """The same predicate as _fit_test's, by a scan of the level."""
+    def fits(m):
+        for t in level:
+            if not m & ~t:
+                return True
+        return False
+    return fits
+
+
+def _is_singleton(m):
+    return not m & (m - 1)
+
+
+def _meet_search(d):
+    """The least shortest reset word of d, by a bidirectional subset search.
+
+    Forward levels F_0 = [Q], F_1, ... list the images of the full set Q by
+    the length of their shortest word, each in least-word order, with a
+    parallel list of each mask's parent position in the level before.
+    Backward levels B_0 = the singletons, B_1, ... list their nonempty
+    preimages likewise. Each round expands the narrower last level, ties
+    going forward, and tests only the new level against the other side's
+    last level, so every depth pair (i, j) the search passes through is
+    tested once. A reset word of length i + j takes Q through some S in F_i
+    inside some T in B_j, or a shorter one would exist; so while no test has
+    met, rt exceeds the current i + j, and the first meet gives rt = i + j.
+    The word is the least word of the first mask of F_i that fits B_j,
+    followed, for r = j-1, ..., 0, by the least letter whose image fits B_r
+    (a fit at a shallower level would mean a shorter reset word). A frontier
+    that empties before the sides meet means d is not synchronizing, which
+    the caller rules out first: it raises AssertionError. The preimage
+    tables are built on the first backward step.
+    """
+    n = d.n
+    tabs, pre = core.image_tables(d), None
+    full = (1 << n) - 1
+    fwd, parents, back = [[full]], [None], [[1 << q for q in range(n)]]
+    fseen, bseen = {full}, set(back[0])
+    fits = _is_singleton    # what fits B_0, images being nonempty
+    hit = _first_fit(fwd[0], fits)
+    while hit is None:
+        forward = len(fwd[-1]) <= len(back[-1])
+        if forward:
+            level, par, hit = _step_forward(tabs, fwd[-1], fseen, fits)
+            fwd.append(level)
+            parents.append(par)
+        else:
+            pre = pre or core.preimage_tables(d)
+            level = _step_backward(pre, back[-1], bseen)
+            back.append(level)
+            fits = _fit_test(level, n)
+            hit = _first_fit(fwd[-1], fits)
+        if not level:
+            side = "forward" if forward else "backward"
+            raise AssertionError(f"the {side} frontier emptied before the two sides met")
+    word = []
+    p = hit
+    for i in range(len(fwd) - 1, 0, -1):
+        up = parents[i][p]
+        word.append(_least_letter(tabs, fwd[i - 1][up], fwd[i][p].__eq__))
+        p = up
+    word.reverse()
+    m = fwd[-1][hit]
+    for level in reversed(back[:-1]):
+        # at most k masks are tested against each level here, too few to
+        # pay for its fit tables
+        a = _least_letter(tabs, m, _scan_fit(level))
+        word.append(a)
+        m = union_mask(tabs[a], m)
+    return tuple(word)
+
+
+def _step_forward(tabs, level, seen, fits):
+    """The next forward level, in least-word order, and each new mask's
+    parent position in level. Stops at the first new mask that fits and
+    returns its position as hit (else hit is None): (next, parents, hit)."""
+    nxt, par = [], []
+    for p, m in enumerate(level):
+        for t in tabs:
+            m2 = union_mask(t, m)
+            if m2 not in seen:
+                seen.add(m2)
+                nxt.append(m2)
+                par.append(p)
+                if fits(m2):
+                    return nxt, par, len(nxt) - 1
+    return nxt, par, None
+
+
+def _step_backward(pre, level, seen):
+    """The next backward level: the new nonempty preimages of level's masks."""
+    nxt = []
+    for t in pre:
+        for m in level:
+            m2 = union_mask(t, m)
+            if m2 and m2 not in seen:
+                seen.add(m2)
+                nxt.append(m2)
+    return nxt
+
+
+def _first_fit(masks, fits):
+    """The position of the first of masks that fits, or None."""
+    for p, m in enumerate(masks):
+        if fits(m):
+            return p
+    return None
+
+
 def exact_reset_threshold(d, cap=core.SUBSET_BFS_CAP):
     """The reset threshold and the lexicographically least shortest reset word.
 
-    A subset search from the full state set that stops at the first
-    singleton.
+    A bidirectional subset search (_meet_search): images of the full set
+    forward, preimages of the singletons backward, until the two meet.
     """
     _check_subset_cap(d.n, cap)
     if d.n == 1:
         return 0, ()
     if not is_synchronizing(d):
         raise NotSynchronizing("automaton is not synchronizing")
-    tabs = core.image_tables(d)
-    hit, parent = _subset_search(tabs, (1 << d.n) - 1, 2)
-    if hit is None:
-        raise AssertionError("synchronizing automaton ran out of subsets")
-    word = _path(tabs, parent, hit)
+    word = _meet_search(d)
     return len(word), word
 
 

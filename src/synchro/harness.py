@@ -229,7 +229,8 @@ def census_max_rt(filt, checkpoint=None):
                "attainers": []}
         for d in enumerate_automata(filt, shard=shard):
             rec["classes"] += 1
-            if engine.is_synchronizing(d):
+            # the filter has already dropped non-synchronizing tables
+            if filt.synchronizing or engine.is_synchronizing(d):
                 rt, _ = engine.exact_reset_threshold(d)
             else:
                 rt = -1

@@ -591,3 +591,126 @@ class TestTablesKeepWords:
         d = harness.random_synchronizing(n, k, seed)
         for i, (solver, ref) in enumerate(self.SOLVERS[:3]):
             assert outcome(solver, d, 70) == outcome(ref, d), i
+
+
+# -- the bidirectional search against the one-way search ------------------------
+
+def one_way_threshold(d):
+    """exact_reset_threshold's answer by the one-way forward subset search."""
+    if d.n == 1:
+        return 0, ()
+    ref_check_synchronizing(d)
+    tabs = core.image_tables(d)
+    hit, parent = engine._subset_search(tabs, (1 << d.n) - 1, 2)
+    word = engine._path(tabs, parent, hit)
+    return len(word), word
+
+
+def meet_sides(monkeypatch, d):
+    """_meet_search's word on d and the side each round expanded, "f" or "b".
+
+    A forward round steps by _step_forward; a backward round builds the new
+    level's fit test by _fit_test.
+    """
+    sides = []
+    with monkeypatch.context() as patch:
+        for name, side in (("_step_forward", "f"), ("_fit_test", "b")):
+            real = getattr(engine, name)
+
+            def spy(*args, real=real, side=side):
+                sides.append(side)
+                return real(*args)
+
+            patch.setattr(engine, name, spy)
+        word = engine._meet_search(d)
+    return word, "".join(sides)
+
+
+class TestMeetSearch:
+    def test_every_family_instance_up_to_16_states(self):
+        dfas = list(family_instances(16))
+        assert len(dfas) > 150
+        for d in dfas:
+            assert (outcome(engine.exact_reset_threshold, d, 16)
+                    == outcome(one_way_threshold, d)), d.name
+
+    def test_seeded_random_automata(self):
+        # binary automata up to 48 states and ternary up to 32, where the
+        # one-way search stays fast, and one binary 64-state automaton
+        from synchro import harness
+        rng = random.Random(2015)
+        cases = [(rng.randrange(2, 49), 2) if i % 2 else (rng.randrange(2, 33), 3)
+                 for i in range(300)] + [(64, 2)]
+        for seed, (n, k) in enumerate(cases):
+            d = harness.random_synchronizing(n, k, seed)
+            assert engine.exact_reset_threshold(d, 64) == one_way_threshold(d), (n, k, seed)
+
+    def test_one_state(self):
+        assert engine._meet_search(one_state()) == ()
+
+    def test_two_states_meet_at_forward_depth_one(self, monkeypatch):
+        d = Dfa(2, ("a", "b"), ((0, 1), (1, 1)))
+        assert meet_sides(monkeypatch, d) == ((1,), "f")
+        assert engine.exact_reset_threshold(d) == (1, (1,))
+
+    def test_meet_on_a_backward_expansion(self, monkeypatch):
+        # cerny-n's backward levels past the singletons have width 1: from
+        # n = 7 its forward levels outgrow them after a few rounds and every
+        # later round, the meeting one included, expands backward
+        for n in range(7, 13):
+            word, sides = meet_sides(monkeypatch, cerny(n))
+            f = sides.count("f")
+            assert f < len(sides) and sides == "f" * f + "b" * (len(sides) - f), n
+            assert (len(word), word) == one_way_threshold(cerny(n))
+        from synchro import harness
+        d = harness.random_synchronizing(12, 2, 0)
+        word, sides = meet_sides(monkeypatch, d)
+        assert sides == "ffffffbbbb"
+        assert (len(word), word) == one_way_threshold(d)
+
+    def test_ties_go_forward(self, monkeypatch):
+        # F_3 has as many masks as the 8 singletons of B_0: round 4 expands
+        # forward, and the backward round that meets comes after it
+        from synchro import harness
+        d = harness.random_synchronizing(8, 2, 4)
+        word, sides = meet_sides(monkeypatch, d)
+        assert sides == "ffffb"
+        assert (len(word), word) == one_way_threshold(d)
+
+    def test_meet_on_a_forward_expansion_after_backward_ones(self, monkeypatch):
+        from synchro import harness
+        d = harness.random_synchronizing(16, 2, 0)
+        word, sides = meet_sides(monkeypatch, d)
+        assert sides == "fffffbbbbbf"
+        assert (len(word), word) == one_way_threshold(d)
+
+    def test_identity_letter(self, monkeypatch):
+        # an identity letter steps to no new subset on either side and is
+        # never the least letter of a least shortest word
+        from synchro import harness
+        base = harness.random_synchronizing(16, 2, 0)
+        ident = tuple(range(16))
+        for rows in ((ident,) + base.delta, base.delta[:1] + (ident,) + base.delta[1:]):
+            d = Dfa(16, ("a", "b", "c"), rows)
+            word, sides = meet_sides(monkeypatch, d)
+            assert "b" in sides
+            assert (len(word), word) == one_way_threshold(d)
+            assert rows.index(ident) not in word
+
+    def test_both_sides_expand_when_k_is_near_n(self, monkeypatch):
+        from synchro import families
+        d = families.gen_rystsov(10).dfa
+        word, sides = meet_sides(monkeypatch, d)
+        assert sides.count("f") > 10 and sides.count("b") > 10
+        assert (len(word), word) == one_way_threshold(d) == (45, word)
+
+    def test_frontier_that_empties_raises(self):
+        # neither automaton synchronizes; states 0 and 1 of the second are
+        # both fixed by every letter
+        forward = Dfa(2, ("a", "b"), ((0, 1), (1, 0)))
+        backward = Dfa(6, ("a", "b", "c"),
+                       ((0, 1, 0, 3, 2, 4), (0, 1, 5, 5, 2, 3), (0, 1, 0, 0, 4, 5)))
+        for d, side in ((forward, "forward"), (backward, "backward")):
+            assert not engine.is_synchronizing(d)
+            with pytest.raises(AssertionError, match=f"the {side} frontier emptied"):
+                engine._meet_search(d)
