@@ -6,11 +6,10 @@
 Writes BENCH_<topic>.json at the root of this checkout. The parent's
 committed files are exported with ``git archive`` into a temporary
 directory; the change is this checkout as it stands, uncommitted edits
-included, or the committed files of ``--change REV``. For each workload,
-seeds run from --first-seed up, one pair per seed: both sides run
-``perfbench/run.py --trace 0`` in their own tree, one after the other and
-never at once, the parent first on odd seeds and the change first on even
-ones. The file records every run and, per workload, whether every run was
+included. For each workload, seeds run from --first-seed up, one pair per
+seed: both sides run ``perfbench/run.py --trace 0`` in their own tree, one
+after the other and never at once, the parent first on odd seeds and the
+change first on even ones. The file records every run and, per workload, whether every run was
 correct with no failed job, each side's quartiles of every end-to-end
 metric, and the number of pairs in which the change's value was the better
 one, as BENCHMARK.json defines better. ``--extra FILE`` stores that JSON
@@ -52,10 +51,12 @@ def export(rev, into):
         tar.extractall(into, filter="data")
 
 
-def describe(rev):
-    if rev is not None:
-        return git("rev-parse", "--short", rev).decode().strip()
-    head = git("rev-parse", "--short", "HEAD").decode().strip()
+def short(rev):
+    return git("rev-parse", "--short", rev).decode().strip()
+
+
+def describe_checkout():
+    head = short("HEAD")
     dirty = git("status", "--porcelain", "--untracked-files=no").strip()
     return f"{head} + uncommitted changes" if dirty else head
 
@@ -114,7 +115,6 @@ def parse_args(argv):
     ap.add_argument("--topic", required=True)
     ap.add_argument("--what", required=True, help="one line: the change measured")
     ap.add_argument("--parent", required=True, help="the revision to compare against")
-    ap.add_argument("--change", help="a revision; without it, this checkout as it stands")
     ap.add_argument("--runs", action="append", required=True, metavar="WORKLOAD=PAIRS")
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--first-seed", type=int, default=1)
@@ -145,14 +145,11 @@ def main(argv=None):
         return 2
     runs = []
     try:
-        parent = describe(args.parent)
-        change = describe(args.change)
+        parent = short(args.parent)
+        change = describe_checkout()
         with tempfile.TemporaryDirectory() as tmp:
             trees = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
             export(args.parent, trees["parent"])
-            if args.change is not None:
-                trees["change"] = os.path.join(tmp, "change")
-                export(args.change, trees["change"])
             for workload, pairs in plan:
                 for seed in range(args.first_seed, args.first_seed + pairs):
                     order = ("parent", "change") if seed % 2 else ("change", "parent")

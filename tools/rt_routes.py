@@ -3,8 +3,9 @@
     python3 tools/rt_routes.py [--repeats 5] > routes.json
 
 Per instance, the best of --repeats wall times (time.perf_counter) of
-  - the one-way route: engine.is_synchronizing, then engine._subset_search
-    from the full set to the first singleton, the word read by engine._path;
+  - the one-way route, tests/test_engine.py's one_way_threshold:
+    engine.is_synchronizing, then engine._subset_search from the full set to
+    the first singleton, the word read by engine._path;
   - engine.exact_reset_threshold, the bidirectional search;
 and their ratio. Both routes must give the same word, or the script exits 1.
 Prints one JSON object.
@@ -20,18 +21,11 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "perfbench", "tests")]
 
-from synchro import core, engine, families  # noqa: E402
+from synchro import engine, families  # noqa: E402
+from test_engine import one_way_threshold  # noqa: E402
 from workloads import EXTREMAL  # noqa: E402
-
-
-def one_way(d):
-    if not engine.is_synchronizing(d):
-        raise core.NotSynchronizing("automaton is not synchronizing")
-    tabs = core.image_tables(d)
-    hit, parent = engine._subset_search(tabs, (1 << d.n) - 1, 2)
-    return engine._path(tabs, parent, hit)
 
 
 def best(fn, d, repeats):
@@ -50,12 +44,12 @@ def main(argv=None):
     rows = []
     for family, params in EXTREMAL:
         d = getattr(families, f"gen_{family}")(*params).dfa
-        t1, w1 = best(one_way, d, args.repeats)
+        t1, (rt, w1) = best(one_way_threshold, d, args.repeats)
         t2, (_, w2) = best(engine.exact_reset_threshold, d, args.repeats)
         if w1 != w2:
             print(f"rt_routes: {d.name}: the routes give different words", file=sys.stderr)
             return 1
-        rows.append({"instance": d.name, "n": d.n, "k": d.k, "rt": len(w1),
+        rows.append({"instance": d.name, "n": d.n, "k": d.k, "rt": rt,
                      "one_way_s": t1, "bidirectional_s": t2, "ratio": t2 / t1})
     print(json.dumps({
         "what": "best of %d wall times per route, seconds" % args.repeats,
