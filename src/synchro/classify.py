@@ -226,7 +226,7 @@ def is_completely_reachable(d):
     """Every non-empty subset is an image of the full state set."""
     if d.n > REACHABILITY_CAP:
         raise CapExceeded(f"n={d.n} exceeds the reachability cap {REACHABILITY_CAP}")
-    _, seen = engine._subset_search(core.image_tables(d), (1 << d.n) - 1, 0)
+    *_, seen = engine._forward_search(core.image_tables(d), (1 << d.n) - 1, lambda m: False)
     if len(seen) == (1 << d.n) - 1:
         return Verdict("in", witness=len(seen))
     missing = next(m for m in range(1, 1 << d.n) if m not in seen)

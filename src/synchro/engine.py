@@ -8,7 +8,6 @@ reproduce the same words bit for bit.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -151,49 +150,9 @@ def merge_probe_target(d):
     return cur.bit_length() - 1
 
 
-def _path(tabs, parent, node):
-    """The letters from a search's start to node, read off parent links: each
-    is the least letter carrying the predecessor to the node, the one the
-    search found it by, since both subset searches expand letters in index
-    order. tabs are the tables the search stepped by; _subset_search's word
-    is this, _preimage_search's is this reversed."""
-    word = []
-    while parent[node] is not None:
-        m = parent[node]
-        word.append(_least_letter(tabs, m, node.__eq__))
-        node = m
-    word.reverse()
-    return tuple(word)
-
-
 def _least_letter(tabs, m, ok):
     """The least letter a for which ok(union_mask(tabs[a], m)) holds."""
     return next(a for a, t in enumerate(tabs) if ok(union_mask(t, m)))
-
-
-def _subset_search(tabs, start, below):
-    """Breadth-first search over the images of the start mask, letters in index order.
-
-    tabs are the automaton's core.image_tables. Returns (hit, parent): hit
-    is the first image found with fewer than below states, or None when no
-    image is that small (below=0 runs the search to exhaustion); parent
-    maps every reached mask to its predecessor, and the start to None.
-    Within one BFS level images are discovered in lexicographic order of
-    their words, so _path(tabs, parent, hit) is the least shortest such word.
-    """
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        m = queue.popleft()
-        for t in tabs:
-            m2 = union_mask(t, m)
-            if m2 in parent:
-                continue
-            parent[m2] = m
-            if m2.bit_count() < below:
-                return m2, parent
-            queue.append(m2)
-    return None, parent
 
 
 FIT_SCAN = 8   # levels no wider than this or than n are scanned mask by mask
@@ -250,9 +209,10 @@ def _meet_search(d):
     tested once. A reset word of length i + j takes Q through some S in F_i
     inside some T in B_j, or a shorter one would exist; so while no test has
     met, rt exceeds the current i + j, and the first meet gives rt = i + j.
-    The word is the least word of the first mask of F_i that fits B_j,
-    followed, for r = j-1, ..., 0, by the least letter whose image fits B_r
-    (a fit at a shallower level would mean a shorter reset word). A frontier
+    The word is the least word of the first mask of F_i that fits B_j
+    (_read_word), followed, for r = j-1, ..., 0, by the least letter whose
+    image fits B_r (_read_down; a fit at a shallower level would mean a
+    shorter reset word). A frontier
     that empties before the sides meet means d is not synchronizing, which
     the caller rules out first: it raises AssertionError. The preimage
     tables are built on the first backward step.
@@ -279,21 +239,7 @@ def _meet_search(d):
         if not level:
             side = "forward" if forward else "backward"
             raise AssertionError(f"the {side} frontier emptied before the two sides met")
-    word = []
-    p = hit
-    for i in range(len(fwd) - 1, 0, -1):
-        up = parents[i][p]
-        word.append(_least_letter(tabs, fwd[i - 1][up], fwd[i][p].__eq__))
-        p = up
-    word.reverse()
-    m = fwd[-1][hit]
-    for level in reversed(back[:-1]):
-        # at most k masks are tested against each level here, too few to
-        # pay for its fit tables
-        a = _least_letter(tabs, m, _scan_fit(level))
-        word.append(a)
-        m = union_mask(tabs[a], m)
-    return tuple(word)
+    return _read_word(tabs, fwd, parents, hit) + _read_down(tabs, back[:-1], fwd[-1][hit])
 
 
 def _step_forward(tabs, level, seen, fits):
@@ -333,6 +279,73 @@ def _first_fit(masks, fits):
     return None
 
 
+def _read_word(tabs, levels, parents, p):
+    """The least word of levels[-1][p] from levels[0], read off the parent
+    positions _step_forward recorded: each letter is the least one carrying
+    the parent to the mask, the one the step found it by."""
+    word = []
+    for i in range(len(levels) - 1, 0, -1):
+        up = parents[i][p]
+        word.append(_least_letter(tabs, levels[i - 1][up], levels[i][p].__eq__))
+        p = up
+    word.reverse()
+    return tuple(word)
+
+
+def _read_down(tabs, levels, m):
+    """A word carrying m into a mask of levels[0], one level per letter: for
+    each of levels from the last to the first, the least letter whose image
+    of the current mask fits that level. tabs are image tables."""
+    word = []
+    for level in reversed(levels):
+        # at most k masks are tested against each level here, too few to
+        # pay for its fit tables
+        a = _least_letter(tabs, m, _scan_fit(level))
+        word.append(a)
+        m = union_mask(tabs[a], m)
+    return tuple(word)
+
+
+def _forward_search(tabs, start, fits):
+    """Forward levels from [start] until a new image fits or none is left.
+
+    Returns (levels, parents, hit, seen): the levels and parent positions
+    as _step_forward builds them, hit the position in levels[-1] of the
+    first image that fits (None once the images are exhausted), and seen
+    every mask reached, start included. The start itself is not tested.
+    _read_word(tabs, levels, parents, hit) is the hit's least word.
+    """
+    levels, parents, seen = [[start]], [None], {start}
+    hit = None
+    while hit is None and levels[-1]:
+        level, par, hit = _step_forward(tabs, levels[-1], seen, fits)
+        levels.append(level)
+        parents.append(par)
+    return levels, parents, hit, seen
+
+
+def _backward_search(pre, starts, above):
+    """Backward levels from the start masks to the end of the first level
+    holding a preimage with more than above states, or until none is left.
+
+    Returns (levels, hit), hit being that level's first such preimage, or
+    None. From one start, _read_down(tabs, levels[:-1], hit) with the image
+    tables is the least word of that length whose preimage has more than
+    above states: that word's suffix preimages each lie in their own level,
+    so the walk takes no greater letter, and the preimage of the walk's
+    word contains the hit. From several starts it is the least shortest
+    reset word when the hit is the full set, as in _meet_search.
+    """
+    levels, seen = [list(starts)], set(starts)
+    while levels[-1]:
+        level = _step_backward(pre, levels[-1], seen)
+        levels.append(level)
+        for m in level:
+            if m.bit_count() > above:
+                return levels, m
+    return levels, None
+
+
 def exact_reset_threshold(d, cap=core.SUBSET_BFS_CAP):
     """The reset threshold and the lexicographically least shortest reset word.
 
@@ -363,51 +376,22 @@ def greedy_compression_word(d, cap=core.SUBSET_BFS_CAP):
     word = ()
     cur = (1 << d.n) - 1
     while cur.bit_count() > 1:
-        step, parent = _subset_search(tabs, cur, cur.bit_count())
-        if step is None:
+        levels, parents, hit, _ = _forward_search(
+            tabs, cur, lambda m, size=cur.bit_count(): m.bit_count() < size)
+        if hit is None:
             raise AssertionError("no compressing word found for a synchronizing automaton")
-        word += _path(tabs, parent, step)
-        cur = step
+        word += _read_word(tabs, levels, parents, hit)
+        cur = levels[-1][hit]
     return _finish(d, word, "greedy")
 
 
-def _preimage_search(pre, starts, above):
-    """Level-by-level search over the preimages of the start masks.
-
-    pre are the automaton's core.preimage_tables. Returns (hit, parent) as
-    _subset_search does, hit being the first preimage found with more than
-    above states. A step prepends a letter to the word, so letters go in
-    index order on the outside and each level is kept in word order on the
-    inside: every mask is found first by its least word, and
-    _path(pre, parent, hit)[::-1] is the least shortest word. The level
-    holding the hit is searched to its end.
-    """
-    parent = dict.fromkeys(starts)
-    level = list(parent)
-    hit = None
-    while level and hit is None:
-        nxt = []
-        for tab in pre:
-            for m in level:
-                t = union_mask(tab, m)
-                if t == 0 or t in parent:
-                    # the empty set is a dead end under preimages
-                    continue
-                parent[t] = m
-                nxt.append(t)
-                if hit is None and t.bit_count() > above:
-                    hit = t
-        level = nxt
-    return hit, parent
-
-
-def shortest_extending_word(pre, mask):
+def shortest_extending_word(tabs, pre, mask):
     """The least shortest word v with |mask.v^-1| > |mask|, or None if none exists.
 
-    pre are the automaton's core.preimage_tables.
+    tabs and pre are the automaton's core.image_tables and core.preimage_tables.
     """
-    hit, parent = _preimage_search(pre, (mask,), mask.bit_count())
-    return None if hit is None else _path(pre, parent, hit)[::-1]
+    levels, hit = _backward_search(pre, (mask,), mask.bit_count())
+    return None if hit is None else _read_down(tabs, levels[:-1], hit)
 
 
 def extensibility_profile(d):
@@ -424,11 +408,12 @@ def extensibility_profile(d):
         size = m.bit_count()
         if size < 2 or size == n:
             continue
-        v = shortest_extending_word(pre, m)
-        if v is None:
+        levels, hit = _backward_search(pre, (m,), size)
+        if hit is None:
             raise NotExtensible(tuple(bits(m)))
-        if len(v) > by_size.get(size, 0):
-            by_size[size] = len(v)
+        # the hit level's depth is the shortest extending word's length
+        if len(levels) - 1 > by_size.get(size, 0):
+            by_size[size] = len(levels) - 1
     max_len = max(by_size.values(), default=0)
     return ExtensibilityProfile(n, by_size, max_len)
 
@@ -445,7 +430,7 @@ def reset_word_via_extension(d, cap=core.SUBSET_BFS_CAP):
         return _finish(d, (), "extension")
     if not is_synchronizing(d):
         raise NotSynchronizing("automaton is not synchronizing")
-    pre = core.preimage_tables(d)
+    tabs, pre = core.image_tables(d), core.preimage_tables(d)
     seed = None
     for q in range(d.n):
         for a in range(d.k):
@@ -461,7 +446,7 @@ def reset_word_via_extension(d, cap=core.SUBSET_BFS_CAP):
     mask = union_mask(pre[a], 1 << q)
     full = (1 << d.n) - 1
     while mask != full:
-        v = shortest_extending_word(pre, mask)
+        v = shortest_extending_word(tabs, pre, mask)
         if v is None:
             raise NotExtensible(tuple(bits(mask)))
         word = v + word
@@ -529,13 +514,13 @@ def eppstein_orientable_word(d, order=None):
             raise AssertionError(
                 f"preimage {sorted(bits(mask))} is not an oriented interval")
 
-    pre = core.preimage_tables(d)
-    hit, parent = _preimage_search(pre, [1 << q for q in range(n)], n - 1)
-    for mask in parent:
-        check_arc(mask)
+    levels, hit = _backward_search(core.preimage_tables(d), [1 << q for q in range(n)], n - 1)
+    for level in levels:
+        for mask in level:
+            check_arc(mask)
     if hit is None:
         raise AssertionError("no singleton preimage reaches the full set")
-    return _finish(d, _path(pre, parent, hit)[::-1], "eppstein")
+    return _finish(d, _read_down(core.image_tables(d), levels[:-1], hit), "eppstein")
 
 
 # -- all-simple-idempotent solving --------------------------------------------

@@ -105,16 +105,16 @@ class TestExactResetThreshold:
         rng = random.Random(97)
         for _ in range(200):
             d = random_sync(rng.randrange(2, 9), rng.choice((2, 3)), rng)
-            pre = core.preimage_tables(d)
+            tabs, pre = core.image_tables(d), core.preimage_tables(d)
             backward = []
             for q in range(d.n):
-                hit, parent = engine._preimage_search(pre, (1 << q,), d.n - 1)
+                levels, hit = engine._backward_search(pre, (1 << q,), d.n - 1)
                 if hit is not None:
-                    word = engine._path(pre, parent, hit)[::-1]
+                    word = engine._read_down(tabs, levels[:-1], hit)
                     backward.append((len(word), word))
             assert engine.exact_reset_threshold(d) == min(backward)
-            hit, parent = engine._preimage_search(pre, [1 << q for q in range(d.n)], d.n - 1)
-            assert engine._path(pre, parent, hit)[::-1] == min(backward)[1]
+            levels, hit = engine._backward_search(pre, [1 << q for q in range(d.n)], d.n - 1)
+            assert engine._read_down(tabs, levels[:-1], hit) == min(backward)[1]
 
     def test_not_synchronizing(self):
         d = Dfa(2, ("a", "b"), ((0, 1), (1, 0)))
@@ -226,7 +226,8 @@ class TestExtension:
                 P = StateSet(3, m)
                 if len(P) != 2:
                     continue
-                v = engine.shortest_extending_word(core.preimage_tables(d), P.mask)
+                v = engine.shortest_extending_word(core.image_tables(d),
+                                                   core.preimage_tables(d), P.mask)
                 # oracle: try all words by increasing length
                 best = None
                 for length in range(0, 8):
@@ -593,17 +594,163 @@ class TestTablesKeepWords:
             assert outcome(solver, d, 70) == outcome(ref, d), i
 
 
+def with_ties(d):
+    """d with an identity letter and a copy of its first letter added, the
+    identity first or second and the copy last: both tie with another
+    letter at every step of a search."""
+    ident = tuple(range(d.n))
+    for rows in ((ident,) + d.delta + d.delta[:1],
+                 d.delta[:1] + (ident,) + d.delta[1:] + d.delta[:1]):
+        yield Dfa(d.n, tuple("abcdefgh"[:len(rows)]), rows, name=d.name)
+
+
+class TestLeastLetterRule:
+    # The forward reader (_read_word, greedy) and the backward one
+    # (_read_down, extension and interval solvers) must take the least of
+    # tied letters: no word uses the identity or the higher copy.
+    def check(self, dfas, solver, ref):
+        used_copied = 0
+        for d in dfas:
+            word = outcome(solver, d)
+            assert word == outcome(ref, d), d.name
+            if isinstance(word, tuple):
+                copy, ident = len(d.delta) - 1, d.delta.index(tuple(range(d.n)))
+                assert copy not in word and ident not in word, (d.name, word)
+                used_copied += d.delta.index(d.delta[copy]) in word
+        assert used_copied > len(dfas) // 2
+
+    def test_greedy_and_extension_words(self):
+        rng = random.Random(29)
+        bases = [cerny(n) for n in range(2, 10)] + [
+            random_sync(rng.randrange(2, 9), 2, rng) for _ in range(60)]
+        dfas = [tied for d in bases for tied in with_ties(d)]
+        self.check(dfas, lambda d: engine.greedy_compression_word(d).word, ref_greedy_word)
+        self.check(dfas, lambda d: engine.reset_word_via_extension(d).word, ref_extension_word)
+
+    def test_interval_solver_words(self):
+        from synchro import families
+        bases = ([cerny(n) for n in range(2, 11)]
+                 + [families.gen_dnk(n, n - 1).dfa for n in range(3, 11)])
+        dfas = [tied for d in bases for tied in with_ties(d)]
+        self.check(dfas, lambda d: engine.eppstein_orientable_word(d).word, ref_eppstein_word)
+
+
+def ref_backward_reach(d, starts, above):
+    """Every subset the backward search from starts reaches, stepped per bit:
+    level by level through the end of the first level holding a preimage
+    with more than above states."""
+    pre = core.letter_preimage_masks(d)
+    seen, level = set(starts), set(starts)
+    while level:
+        level = {t for m in level for row in pre
+                 if (t := core.preimage_mask(row, m)) and t not in seen}
+        seen |= level
+        if any(t.bit_count() > above for t in level):
+            break
+    return seen
+
+
+def is_interval(n, mask):
+    """mask is the full set or one cyclic interval of 0, 1, ..., n-1."""
+    ends = sum(1 for i in range(n) if mask >> i & 1 and not mask >> (i + 1) % n & 1)
+    return mask == (1 << n) - 1 or ends == 1
+
+
+class TestBackwardSearchCoverage:
+    def test_profile_lengths_are_the_extending_word_lengths(self, monkeypatch):
+        # the profile reads each subset's length off the search depth; every
+        # subset it searches is compared with shortest_extending_word's word
+        real = engine._backward_search
+        rng = random.Random(33)
+        for _ in range(80):
+            d = random_dfa(rng.randrange(3, 8), rng.choice((2, 3)), rng)
+            depths = {}
+
+            def spy(pre, starts, above):
+                levels, hit = real(pre, starts, above)
+                depths[starts] = None if hit is None else len(levels) - 1
+                return levels, hit
+
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_backward_search", spy)
+                try:
+                    prof = engine.extensibility_profile(d)
+                except engine.NotExtensible as exc:
+                    prof = exc
+            tabs, pre = core.image_tables(d), core.preimage_tables(d)
+            subsets = [m for m in range(1, 1 << d.n) if 2 <= m.bit_count() < d.n]
+            by_size, missing = {}, None
+            for m in subsets:
+                v = engine.shortest_extending_word(tabs, pre, m)
+                assert depths.pop((m,)) == (None if v is None else len(v)), (d.delta, m)
+                if v is None:
+                    missing = m
+                    break
+                by_size[m.bit_count()] = max(by_size.get(m.bit_count(), 0), len(v))
+            assert not depths
+            if missing is None:
+                assert prof.by_size == by_size
+            else:
+                assert prof.subset == tuple(core.bits(missing))
+
+    def test_search_from_singletons_reaches_the_reference_subsets(self):
+        rng = random.Random(37)
+        for _ in range(300):
+            d = random_sync(rng.randrange(2, 10), rng.choice((2, 3)), rng)
+            singletons = [1 << q for q in range(d.n)]
+            levels, hit = engine._backward_search(core.preimage_tables(d), singletons, d.n - 1)
+            reached = [m for level in levels for m in level]
+            assert len(reached) == len(set(reached))
+            assert set(reached) == ref_backward_reach(d, singletons, d.n - 1)
+            assert hit == (1 << d.n) - 1
+
+    def test_interval_check_covers_every_reached_subset(self, monkeypatch):
+        # with the orientation test bypassed, the interval solver must raise
+        # exactly when a subset the reference reaches is not an interval,
+        # including the subsets that follow the full set in its level
+        monkeypatch.setattr(engine, "orientation_violations", lambda d, order: [])
+        rng = random.Random(43)
+        outcomes = set()
+        for _ in range(300):
+            d = random_sync(rng.randrange(3, 9), 2, rng)
+            reach = ref_backward_reach(d, [1 << q for q in range(d.n)], d.n - 1)
+            intervals = all(is_interval(d.n, m) for m in reach)
+            outcomes.add(intervals)
+            if intervals:
+                assert engine.eppstein_orientable_word(d).word == ref_eppstein_word(d)
+            else:
+                with pytest.raises(AssertionError, match="not an oriented interval"):
+                    engine.eppstein_orientable_word(d)
+        assert outcomes == {True, False}
+
+
 # -- the bidirectional search against the one-way search ------------------------
 
 def one_way_threshold(d):
-    """exact_reset_threshold's answer by the one-way forward subset search."""
+    """exact_reset_threshold's answer by a one-way forward subset search:
+    breadth first over the images of the full set, letters in index order,
+    to the first singleton. Each image maps to the image and letter it was
+    first found by, which is its least shortest word's last step."""
     if d.n == 1:
         return 0, ()
     ref_check_synchronizing(d)
     tabs = core.image_tables(d)
-    hit, parent = engine._subset_search(tabs, (1 << d.n) - 1, 2)
-    word = engine._path(tabs, parent, hit)
-    return len(word), word
+    full = (1 << d.n) - 1
+    parent = {full: None}
+    queue = [full]
+    for m in queue:
+        for a, t in enumerate(tabs):
+            m2 = core.union_mask(t, m)
+            if m2 in parent:
+                continue
+            parent[m2] = m, a
+            if not m2 & (m2 - 1):
+                word = []
+                while parent[m2] is not None:
+                    m2, b = parent[m2]
+                    word.append(b)
+                return len(word), tuple(reversed(word))
+            queue.append(m2)
 
 
 def meet_sides(monkeypatch, d):

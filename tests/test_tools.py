@@ -1,0 +1,26 @@
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(monkeypatch, name):
+    # the tools put their own directories on sys.path when imported
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(f"tool_{name}", TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("repeats", ["0", "-3"])
+def test_rt_routes_repeats_below_one_exits_2(monkeypatch, capsys, repeats):
+    rt_routes = load_tool(monkeypatch, "rt_routes")
+    with pytest.raises(SystemExit) as exc:
+        rt_routes.main(["--repeats", repeats])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--repeats" in err and "Traceback" not in err

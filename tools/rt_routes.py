@@ -4,10 +4,11 @@
 
 Per instance, the best of --repeats wall times (time.perf_counter) of
   - the one-way route, tests/test_engine.py's one_way_threshold:
-    engine.is_synchronizing, then engine._subset_search from the full set to
-    the first singleton, the word read by engine._path;
+    engine.is_synchronizing, then a breadth-first search over the images of
+    the full set to the first singleton, the word read off its parent map;
   - engine.exact_reset_threshold, the bidirectional search;
 and their ratio. Both routes must give the same word, or the script exits 1.
+A --repeats below 1 exits 2.
 Prints one JSON object.
 """
 
@@ -41,6 +42,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error(f"--repeats must be at least 1, not {args.repeats}")
     rows = []
     for family, params in EXTREMAL:
         d = getattr(families, f"gen_{family}")(*params).dfa
