@@ -6,9 +6,13 @@ lexicographically least table over all state and letter relabelings).
 Shards partition the table space by the first letter's image of state 0, so
 a shard-by-shard run touches every class exactly once and can be resumed.
 Relabeling a canonical table by any state permutation cannot give a row
-below its first row, so the first row is the least of its conjugacy class
+below its first row, so the first row r1 is the least of its conjugacy class
 {σ·r·σ⁻¹} and no row's class minimum lies below it; the enumeration skips
-every other table before the full canonicity test.
+every other table. Every relabeled row of a kept table is then at least r1,
+so σ gives a smaller table only if it sends some row onto r1. The orderly
+test (McKay 1998) tries only the σ in Aut(r1) on r2 and, when r2 is
+conjugate to r1, the coset of σ with σ·r2·σ⁻¹ = r1 on r1. A census builds
+the row tables, class minima and automorphisms once for all its shards.
 
 The completely reachable sampler first asks whether every (n-1)-subset is an
 image of Q, a necessary condition: a word reaching one starts, after
@@ -56,18 +60,16 @@ class EnumerationFilter:
                 raise InputError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _is_canonical(delta, n):
-    """True iff delta is its own canonical form: no state relabeling, rows
-    sorted, gives a smaller table. Stops at the first smaller one."""
-    for sigma in itertools.permutations(range(n)):
-        inv = [0] * n
-        for q, s in enumerate(sigma):
-            inv[s] = q
-        cand = tuple(sorted(tuple(sigma[row[inv[q]]] for q in range(n))
-                            for row in delta))
-        if cand < delta:
-            return False
-    return True
+def _is_canonical(r1, r2, aut, move):
+    """The orderly test (module docstring): no automorphism (α, α⁻¹) of r1
+    in aut sends r2 below r2 and, when move = (s, s⁻¹) conjugates r1 to r2,
+    no σ in Aut(r1)∘s⁻¹ sends r1 below r2. σ maps r to q ↦ σ(r(σ⁻¹(q)))."""
+    rows = [r2]
+    if move is not None:
+        s, s_inv = move
+        rows.append(tuple([s_inv[r1[p]] for p in s]))   # s⁻¹·r1·s
+    return rows[-1] >= r2 and all(tuple([a[row[p]] for p in a_inv]) >= r2
+                                  for a, a_inv in aut for row in rows)
 
 
 def _passes(filt, d):
@@ -100,46 +102,55 @@ def _letter_rows(filt, n):
 
 
 def _class_minima(rows, n):
-    """least[code] = the code of the least conjugate σ·r·σ⁻¹ of rows[code].
+    """least[code] = the code of the least conjugate σ·r·σ⁻¹ of rows[code],
+    via[code] = one (σ, σ⁻¹) with σ·rows[least[code]]·σ⁻¹ = rows[code], and
+    auts = {class-minimal code: its automorphisms (σ, σ⁻¹) but the identity}.
     Codes run in tuple order, so the first unfilled code is its orbit's
-    minimum; the orbit is then filled in one sweep over the permutations."""
-    least = [-1] * len(rows)
-    perms = list(itertools.permutations(range(n)))
+    minimum; one sweep over the permutations, identity first, fills the orbit."""
+    least, via, auts = [-1] * len(rows), [None] * len(rows), {}
+    perms = [(sigma, sorted(range(n), key=sigma.__getitem__))
+             for sigma in itertools.permutations(range(n))]
     for code, row in enumerate(rows):
         if least[code] >= 0:
             continue
-        for sigma in perms:
+        aut = []
+        for pair in perms:
+            sigma = pair[0]
             conj = [0] * n
             for q in range(n):
                 conj[sigma[q]] = sigma[row[q]]
             c = 0
             for t in conj:
                 c = c * n + t
-            least[c] = code
-    return least
+            if c == code:
+                aut.append(pair)
+            if least[c] < 0:
+                least[c], via[c] = code, pair
+        auts[code] = aut[1:]
+    return least, via, auts
 
 
-def enumerate_automata(filt, shard=None):
-    """One canonical representative per isomorphism class passing the filter.
-
-    shard, when given, restricts the scan to tables whose first letter sends
-    state 0 to that value; the union over shards 0..n-1 is the full census.
-    """
+def _row_tables(filt):
+    """The rows, profiles, class minima, conjugators and automorphisms a
+    census scans, built once per census and shared by its shards."""
     n, k = filt.states, filt.letters
     if n > ENUM_STATE_CAP or k > ENUM_LETTER_CAP:
         raise CapExceeded(
             f"census budget is letters <= {ENUM_LETTER_CAP}, states <= {ENUM_STATE_CAP}")
-    if shard is not None and shard >= 2:
-        # a class-minimal first row sends 0 to 0 (if it fixes a state) or to 1
-        return
-    letters = tuple(chr(ord("a") + i) for i in range(k))
     rows, by_profile = _letter_rows(filt, n)
-    least = _class_minima(rows, n)
-    for c1, first in enumerate(rows):
-        if least[c1] != c1 or (shard is not None and first[0] != shard):
+    return (rows, by_profile, *_class_minima(rows, n))
+
+
+def _representatives(filt, tables, shard):
+    n, k = filt.states, filt.letters
+    letters = tuple(chr(ord("a") + i) for i in range(k))
+    rows, by_profile, least, via, auts = tables
+    for c1, aut in auts.items():
+        first = rows[c1]
+        if shard is not None and first[0] != shard:
             continue
         if k == 1:
-            tables = [(first,)]
+            kept = [(first,)]   # a class-minimal row is canonical
         else:
             if by_profile is not None:
                 profile = [0] * n
@@ -148,14 +159,23 @@ def enumerate_automata(filt, shard=None):
                 seconds = by_profile.get(tuple(k - c for c in profile), ())
             else:
                 seconds = range(len(rows))
-            # sorted rows, and no second row conjugate to one below the first
-            tables = [(first, rows[c2]) for c2 in seconds if c2 >= c1 and least[c2] >= c1]
-        for delta in tables:
-            if not _is_canonical(delta, n):
-                continue
+            # sorted rows, no row's class minimum below the first, orderly test
+            kept = [(first, rows[c2]) for c2 in seconds if c2 >= c1 and least[c2] >= c1
+                      and _is_canonical(first, rows[c2], aut,
+                                        via[c2] if least[c2] == c1 else None)]
+        for delta in kept:
             d = Dfa(n, letters, delta)
             if _passes(filt, d):
                 yield d
+
+
+def enumerate_automata(filt, shard=None):
+    """One canonical representative per isomorphism class passing the filter.
+
+    shard, when given, restricts the scan to tables whose first letter sends
+    state 0 to that value; the union over shards 0..n-1 is the full census.
+    """
+    yield from _representatives(filt, _row_tables(filt), shard)
 
 
 @dataclass
@@ -221,13 +241,14 @@ def census_max_rt(filt, checkpoint=None):
     wanted = asdict(filt)
     done = {} if checkpoint is None else _load_checkpoint(checkpoint, filt)
     report = CensusReport()
+    tables = _row_tables(filt)
     for shard in range(filt.states):
         if shard in done:
             report.absorb(done[shard])
             continue
         rec = {"shard": shard, "filter": wanted, "classes": 0, "max_rt": -1,
                "attainers": []}
-        for d in enumerate_automata(filt, shard=shard):
+        for d in _representatives(filt, tables, shard):
             rec["classes"] += 1
             # the filter has already dropped non-synchronizing tables
             if filt.synchronizing or engine.is_synchronizing(d):

@@ -1,13 +1,15 @@
+import collections
 import dataclasses
 import functools
 import itertools
 import json
+import math
 import random
 import re
 
 import pytest
 
-from synchro import classify, core, engine, harness
+from synchro import bounds, classify, core, engine, harness
 from synchro.core import CapExceeded, Dfa, DomainError, InputError
 
 
@@ -166,6 +168,18 @@ class TestCorankOnePrefilter:
                 assert got.delta == reference_completely_reachable_binary(n, seed).delta
 
 
+def inverse(sigma):
+    inv = [0] * len(sigma)
+    for q, s in enumerate(sigma):
+        inv[s] = q
+    return inv
+
+
+def conjugate(sigma, inv, row):
+    """σ·row·σ⁻¹: the row relabeled by σ, sending σ(q) to σ(row(q))."""
+    return tuple(sigma[row[inv[q]]] for q in range(len(row)))
+
+
 def brute_class_minimum(row, n):
     best = None
     for sigma in itertools.permutations(range(n)):
@@ -185,6 +199,48 @@ def canonical_sorted_tables(n, k):
             if list(delta) == sorted(delta) and canonical_table(delta, n) == delta]
 
 
+def partitions(n, largest=None):
+    """The cycle types of S_n, as non-increasing tuples of cycle lengths."""
+    if n == 0:
+        yield ()
+        return
+    for j in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - j, j):
+            yield (j, *rest)
+
+
+def class_size(cycles):
+    """The number of permutations with the given cycle lengths."""
+    size = math.factorial(sum(cycles))
+    for j, c in collections.Counter(cycles).items():
+        size //= j ** c * math.factorial(c)
+    return size
+
+
+def power(cycles, length):
+    """The cycle lengths of σ^length: a j-cycle splits into gcd(j, length)."""
+    return [j // math.gcd(j, length) for j in cycles for _ in range(math.gcd(j, length))]
+
+
+def commuting_maps(cycles):
+    """Maps f with σ·f·σ⁻¹ = f, for σ of these cycle lengths: the first state
+    of a j-cycle goes to any state on a cycle whose length divides j."""
+    return math.prod(sum(d for d in cycles if j % d == 0) for j in cycles)
+
+
+def burnside_classes(n, k):
+    """Classes of k-letter tables on n states under state relabeling and
+    letter permutation, by Burnside's lemma. (σ, π) fixes a table when each
+    row is σ's conjugate of the row before it along π's cycles, so a letter
+    cycle of length L adds a factor of the maps commuting with σ^L."""
+    fixed = sum(class_size(lam) * class_size(mu)
+                * math.prod(commuting_maps(power(lam, length)) for length in mu)
+                for lam in partitions(n) for mu in partitions(k))
+    count, rest = divmod(fixed, math.factorial(n) * math.factorial(k))
+    assert rest == 0
+    return count
+
+
 FILTERS = {
     "none": lambda d: True,
     "eulerian": lambda d: classify.is_eulerian(d).status == "in",
@@ -197,8 +253,16 @@ class TestEnumerationOrder:
     def test_class_minima_match_brute_force(self):
         for n in range(1, 6):
             rows = list(itertools.product(range(n), repeat=n))
-            least = harness._class_minima(rows, n)
+            least, via, auts = harness._class_minima(rows, n)
             assert [rows[c] for c in least] == [brute_class_minimum(r, n) for r in rows]
+            for code, (sigma, inv) in enumerate(via):
+                assert conjugate(sigma, inv, rows[least[code]]) == rows[code]
+            assert list(auts) == sorted(set(least))
+            for code, aut in auts.items():
+                want = [p for p in itertools.permutations(range(n))
+                        if conjugate(p, inverse(p), rows[code]) == rows[code]]
+                assert [sigma for sigma, _ in aut] == want[1:]
+                assert all(inv == inverse(sigma) for sigma, inv in aut)
 
     @pytest.mark.parametrize("letters,states,name",
                              [(2, n, name) for n in range(1, 5) for name in sorted(FILTERS)]
@@ -214,6 +278,35 @@ class TestEnumerationOrder:
         for shard in range(states):
             part = [d.delta for d in harness.enumerate_automata(filt, shard=shard)]
             assert part == [delta for delta in reference if delta[0][0] == shard]
+
+
+class TestOrderlyTest:
+    @pytest.mark.parametrize("k, counts", [(1, [1, 3, 7, 19, 47]),
+                                           (2, [1, 7, 74, 1474, 41876])])
+    def test_class_counts_match_burnside(self, k, counts):
+        assert [burnside_classes(n, k) for n in range(1, 6)] == counts
+        for n, count in enumerate(counts, 1):
+            filt = harness.EnumerationFilter(letters=k, states=n)
+            assert len(list(harness.enumerate_automata(filt))) == count
+
+    def test_coset_branch_matches_brute_force(self):
+        # tables whose second row is conjugate to the first, r2 == r1 among
+        # them, where the relabelings that send r2 onto r1 can decide
+        decided_by_coset = 0
+        for n in range(1, 6):
+            rows, _, least, via, auts = harness._row_tables(harness.EnumerationFilter(2, n))
+            # the identity row's automorphisms are S_n, the full cycle's Z_n
+            assert len(auts[rows.index(tuple(range(n)))]) == math.factorial(n) - 1
+            assert len(auts[rows.index(tuple(range(1, n)) + (0,))]) == n - 1
+            for c1, aut in auts.items():
+                for c2 in range(c1, len(rows)):
+                    if least[c2] != c1:
+                        continue
+                    delta = (rows[c1], rows[c2])
+                    verdict = harness._is_canonical(*delta, aut, via[c2])
+                    assert verdict == (canonical_table(delta, n) == delta), delta
+                    decided_by_coset += verdict != harness._is_canonical(*delta, aut, None)
+        assert decided_by_coset > 0
 
 
 class TestCanonicalForm:
@@ -358,6 +451,24 @@ class TestCensus:
         ck.write_text(json.dumps(rec) + "\n")
         with pytest.raises(InputError, match=re.escape(f"{ck}:1: {culprit}")):
             harness.census_max_rt(filt, checkpoint=str(ck))
+
+    def test_row_tables_are_built_once(self, monkeypatch):
+        calls = []
+        build = harness._row_tables
+        monkeypatch.setattr(harness, "_row_tables", lambda filt: calls.append(filt) or build(filt))
+        filt = harness.EnumerationFilter(letters=2, states=4, eulerian=True)
+        harness.census_max_rt(filt)
+        assert calls == [filt]
+
+    def test_six_state_eulerian_census(self):
+        filt = harness.EnumerationFilter(letters=2, states=6, eulerian=True,
+                                         synchronizing=True)
+        report = harness.census_max_rt(filt)
+        assert report.classes == 4129
+        assert report.max_rt == 14
+        assert report.attainers == [[[0, 0, 2, 4, 5, 3], [3, 2, 1, 1, 4, 5]]]
+        # Kari's bound n^2 - 3n + 3 for Eulerian automata
+        assert report.max_rt <= bounds.bound_for_class("eulerian", 6) == 21
 
     def test_unreadable_checkpoint_is_an_input_error(self, tmp_path):
         filt = harness.EnumerationFilter(letters=2, states=3)
