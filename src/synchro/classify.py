@@ -278,35 +278,24 @@ def is_a9(d):
 
 # -- order searches -----------------------------------------------------------
 
-ORDER_CLASSES = ("monotonic", "weakly_monotonic", "orientable",
-                 "weakly_orientable", "zero_monotonic")
-
-
 def _nondecreasing(seq):
     return all(x <= y for x, y in zip(seq, seq[1:]))
 
 
-def _letter_order_ok(cls, seq, n):
-    if cls in ("monotonic", "zero_monotonic"):
-        return _nondecreasing(seq)
-    if cls == "weakly_monotonic":
-        return _nondecreasing(seq) or _nondecreasing(seq[::-1])
-    if cls == "orientable":
-        return engine.properly_oriented(seq, n)
-    if cls == "weakly_orientable":
-        return engine.properly_oriented(seq, n) or engine.properly_oriented(seq[::-1], n)
-    raise AssertionError(cls)
+def _either_way(shape):
+    return lambda seq: shape(seq) or shape(seq[::-1])
 
 
-def _cycle_prune(d, cls):
-    # a sound necessary condition: no letter has a cycle longer than the shape allows
-    longest = {"monotonic": 1, "zero_monotonic": 1, "weakly_monotonic": 2}.get(cls)
-    if longest is None:
-        return None
-    for a, row in enumerate(d.delta):
-        if any(len(c) > longest for c in cycles_of(row)):
-            return d.letters[a]
-    return None
+# class -> (the shape every letter's image positions must have, the longest
+# cycle a letter may have under such an order)
+ORDER_SHAPES = {
+    "monotonic": (_nondecreasing, 1),
+    "weakly_monotonic": (_either_way(_nondecreasing), 2),
+    "orientable": (engine.properly_oriented, math.inf),
+    "weakly_orientable": (_either_way(engine.properly_oriented), math.inf),
+    "zero_monotonic": (_nondecreasing, 1),
+}
+ORDER_CLASSES = tuple(ORDER_SHAPES)
 
 
 def order_class_check(d, cls):
@@ -318,8 +307,9 @@ def order_class_check(d, cls):
     states, images equal to the zero are ignored, and the witness records
     the zero used.
     """
-    if cls not in ORDER_CLASSES:
+    if cls not in ORDER_SHAPES:
         raise InputError(f"unknown order class {cls!r}")
+    shape, longest = ORDER_SHAPES[cls]
     n = d.n
     if n > ORDER_SEARCH_CAP:
         raise CapExceeded(f"n={n} exceeds the order-search cap {ORDER_SEARCH_CAP}")
@@ -328,19 +318,19 @@ def order_class_check(d, cls):
         zeros = [q for q in range(n) if all(row[q] == q for row in d.delta)]
         if not zeros:
             return Verdict("out", note="no zero state")
-    pruned = _cycle_prune(d, cls)
-    if pruned is not None:
-        if cls == "zero_monotonic":
-            return Verdict("out")
-        return Verdict("out", note=f"letter {pruned!r} has a cycle no such order allows")
+    # a sound necessary condition: no letter has a cycle longer than the shape allows
+    for a, row in enumerate(d.delta):
+        if any(len(c) > longest for c in cycles_of(row)):
+            if cls == "zero_monotonic":
+                return Verdict("out")
+            return Verdict("out", note=f"letter {d.letters[a]!r} has a cycle no such order allows")
     pinned = 1 if cls in ("orientable", "weakly_orientable") else 0
     for z in zeros:
         states = [q for q in range(n) if q != z]
         for tail in itertools.permutations(states[pinned:]):
             order = states[:pinned] + list(tail)
             pos = {q: i for i, q in enumerate(order)}
-            if all(_letter_order_ok(cls, [pos[row[q]] for q in order if row[q] != z], n)
-                   for row in d.delta):
+            if all(shape([pos[row[q]] for q in order if row[q] != z]) for row in d.delta):
                 return Verdict("in", witness=order if z is None else {"zero": z, "order": order})
     return Verdict("out")
 
@@ -470,68 +460,68 @@ def respects_intervals(d, g):
 
 # -- report building -----------------------------------------------------------
 
-CLASS_IDS = {
-    "a1": "circular",
-    "a2": "one-cluster-prime",
-    "a3": "orientable",
-    "a3w": "weakly-orientable",
-    "a4": "interval-respecting",
-    "a5": "two-junction",
-    "a6": "eulerian",
-    "a6p": "pseudo-eulerian",
-    "a7": "small-rank-letter",
-    "a8": "involution-free",
-    "a9": "rystsov-strongly-connected",
-    "a10": "binary-simple-idempotent",
-    "b1": "zero",
-    "b2": "aperiodic",
-    "b3": "eds-monoid",
-    "b5": "weakly-monotonic",
-    "b6": "zero-monotonic",
-    "c1": "monotonic",
-    "c3": "ds-monoid",
-    "c4": "binary-idempotent",
-    "c7": "simple-idempotent",
-    "d1": "one-cluster",
-    "d2": "completely-reachable",
-    "d6": "transitive-permutation-letters",
+def _interval_verdict(d, g):
+    """Interval respect for a dense graph on a strongly connected automaton;
+    "not-checked" without a graph."""
+    if g is None:
+        return Verdict("not-checked", note="needs --delta-graph")
+    v = respects_intervals(d, g)
+    dense = is_dense(g)
+    sc = core.is_strongly_connected(d)
+    if v.status == "in" and dense.status == "in" and sc:
+        return Verdict("in", note=v.note)
+    why = v.note if v.status == "in" else "interval clause failed"
+    if dense.status != "in":
+        why = "graph is not dense"
+    elif not sc:
+        why = "automaton is not strongly connected"
+    witness = v.witness if v.status != "in" else dense.witness
+    return Verdict("out", witness=witness, note=why)
+
+
+def _first(found, status="in", otherwise="out"):
+    """Status with the first found item as witness, or otherwise when none is."""
+    return Verdict(status, witness=found[0]) if found else Verdict(otherwise)
+
+
+_NOT_BINARY = Verdict("out", note="alphabet is not binary")
+
+# class id -> (name, check); a check takes the automaton, a function returning
+# the shared transition monoid, and the delta graph or None
+CLASSES = {
+    "a1": ("circular", lambda d, m, g: is_circular(d)),
+    "a2": ("one-cluster-prime", lambda d, m, g: is_one_cluster_prime(d)),
+    "a3": ("orientable", lambda d, m, g: order_class_check(d, "orientable")),
+    "a3w": ("weakly-orientable", lambda d, m, g: order_class_check(d, "weakly_orientable")),
+    "a4": ("interval-respecting", lambda d, m, g: _interval_verdict(d, g)),
+    "a5": ("two-junction", lambda d, m, g: is_two_junction(d)),
+    "a6": ("eulerian", lambda d, m, g: is_eulerian(d)),
+    "a6p": ("pseudo-eulerian", lambda d, m, g: pseudo_eulerian_weights(d)),
+    "a7": ("small-rank-letter", lambda d, m, g: has_small_rank_letter(d)),
+    "a8": ("involution-free", lambda d, m, g: monoid.is_involution_free(m())),
+    "a9": ("rystsov-strongly-connected", lambda d, m, g: is_a9(d)),
+    "a10": ("binary-simple-idempotent", lambda d, m, g: (
+        _first(simple_idempotent_letters(d)) if d.k == 2 else _NOT_BINARY)),
+    "b1": ("zero", lambda d, m, g: has_zero(d)),
+    "b2": ("aperiodic", lambda d, m, g: monoid.is_aperiodic(m())),
+    "b3": ("eds-monoid", lambda d, m, g: monoid.is_in_eds(m())),
+    "b5": ("weakly-monotonic", lambda d, m, g: order_class_check(d, "weakly_monotonic")),
+    "b6": ("zero-monotonic", lambda d, m, g: order_class_check(d, "zero_monotonic")),
+    "c1": ("monotonic", lambda d, m, g: order_class_check(d, "monotonic")),
+    "c3": ("ds-monoid", lambda d, m, g: monoid.is_in_ds(m())),
+    "c4": ("binary-idempotent", lambda d, m, g: (
+        _first([d.letters[a] for a, row in enumerate(d.delta) if not is_idempotent(row)],
+               "out", "in") if d.k == 2 else _NOT_BINARY)),
+    "c7": ("simple-idempotent", lambda d, m, g: Verdict(
+        "in" if len(simple_idempotent_letters(d)) == d.k else "out")),
+    "d1": ("one-cluster", lambda d, m, g: _first([list(x) for x in one_cluster_letters(d)])),
+    "d2": ("completely-reachable", lambda d, m, g: is_completely_reachable(d)),
+    "d6": ("transitive-permutation-letters", lambda d, m, g: is_d6(d)),
 }
-
-
-def _verdict_binary_idempotent(d):
-    if d.k != 2:
-        return Verdict("out", note="alphabet is not binary")
-    idem = simple_idempotent_letters(d)
-    if idem:
-        return Verdict("in", witness=idem[0])
-    return Verdict("out")
-
-
-def _verdict_c4(d):
-    if d.k != 2:
-        return Verdict("out", note="alphabet is not binary")
-    bad = [d.letters[a] for a, row in enumerate(d.delta) if not is_idempotent(row)]
-    if bad:
-        return Verdict("out", witness=bad[0])
-    return Verdict("in")
-
-
-def _verdict_c7(d):
-    if len(simple_idempotent_letters(d)) == d.k:
-        return Verdict("in")
-    return Verdict("out")
-
-
-def _verdict_one_cluster(d):
-    found = one_cluster_letters(d)
-    if found:
-        return Verdict("in", witness=list(found[0]))
-    return Verdict("out")
 
 
 def class_report(d, classes=None, delta_graph=None):
     """Evaluate the requested classes (all, by default) on one automaton."""
-    requested = list(CLASS_IDS) if classes is None else list(classes)
     built = []
 
     def shared_monoid():
@@ -546,58 +536,11 @@ def class_report(d, classes=None, delta_graph=None):
             raise built[0]
         return built[0]
 
-    checks = {
-        "a1": lambda: is_circular(d),
-        "a2": lambda: is_one_cluster_prime(d),
-        "a3": lambda: order_class_check(d, "orientable"),
-        "a3w": lambda: order_class_check(d, "weakly_orientable"),
-        "a5": lambda: is_two_junction(d),
-        "a6": lambda: is_eulerian(d),
-        "a6p": lambda: pseudo_eulerian_weights(d),
-        "a7": lambda: has_small_rank_letter(d),
-        "a8": lambda: monoid.is_involution_free(shared_monoid()),
-        "a9": lambda: is_a9(d),
-        "a10": lambda: _verdict_binary_idempotent(d),
-        "b1": lambda: has_zero(d),
-        "b2": lambda: monoid.is_aperiodic(shared_monoid()),
-        "b3": lambda: monoid.is_in_eds(shared_monoid()),
-        "b5": lambda: order_class_check(d, "weakly_monotonic"),
-        "b6": lambda: order_class_check(d, "zero_monotonic"),
-        "c1": lambda: order_class_check(d, "monotonic"),
-        "c3": lambda: monoid.is_in_ds(shared_monoid()),
-        "c4": lambda: _verdict_c4(d),
-        "c7": lambda: _verdict_c7(d),
-        "d1": lambda: _verdict_one_cluster(d),
-        "d2": lambda: is_completely_reachable(d),
-        "d6": lambda: is_d6(d),
-    }
     report = {}
-    for cid in requested:
-        if cid not in CLASS_IDS:
+    for cid in CLASSES if classes is None else classes:
+        if cid not in CLASSES:
             raise InputError(f"unknown class id {cid!r}")
-        entry = {"name": CLASS_IDS[cid]}
-        if cid == "a4":
-            if delta_graph is None:
-                entry.update(Verdict("not-checked", note="needs --delta-graph").to_json())
-            else:
-                v = respects_intervals(d, delta_graph)
-                dense = is_dense(delta_graph)
-                sc = core.is_strongly_connected(d)
-                if v.status == "in" and dense.status == "in" and sc:
-                    entry.update(Verdict("in", note=v.note).to_json())
-                else:
-                    why = v.note if v.status == "in" else "interval clause failed"
-                    if dense.status != "in":
-                        why = "graph is not dense"
-                    elif not sc:
-                        why = "automaton is not strongly connected"
-                    witness = v.witness if v.status != "in" else dense.witness
-                    entry.update(Verdict("out", witness=witness, note=why).to_json())
-            report[cid] = entry
-            continue
-        try:
-            entry.update(checks[cid]().to_json())
-        except CapExceeded as exc:
-            entry.update(Verdict("unknown", note=f"cap: {exc}").to_json())
-        report[cid] = entry
+        name, check = CLASSES[cid]
+        verdict = core.capped(lambda: check(d, shared_monoid, delta_graph))
+        report[cid] = {"name": name, **verdict.to_json()}
     return report

@@ -62,6 +62,8 @@ def cmd_rt(args):
 def cmd_solve(args):
     if args.cap is not None and args.method not in ("bfs", "greedy", "extension"):
         raise core.InputError(f"--cap: the {args.method} method takes no cap")
+    if args.order is not None and args.method != "eppstein":
+        raise core.InputError(f"--order: the {args.method} method takes no order")
     cap = core.SUBSET_BFS_CAP if args.cap is None else _cap("--cap", args.cap)
     d = _load(args.file)
     if args.method == "bfs":
@@ -88,8 +90,10 @@ def cmd_solve(args):
 
 
 def cmd_classify(args):
-    d = _load(args.file)
     classes = args.classes.split(",") if args.classes else None
+    if args.delta_graph and classes is not None and "a4" not in classes:
+        raise core.InputError("--delta-graph: only class a4 reads a graph, and --classes omits it")
+    d = _load(args.file)
     graph = None
     if args.delta_graph:
         try:
@@ -170,6 +174,8 @@ def cmd_enum(args):
         **{name.replace("-", "_"): name in args.filters for name in ENUM_FILTERS},
     )
     if args.report == "count":
+        if args.checkpoint is not None:
+            raise core.InputError("--checkpoint: --report count keeps no checkpoint")
         total = sum(1 for _ in harness.enumerate_automata(filt))
         print(json.dumps({"classes": total}))
         return 0

@@ -526,3 +526,11 @@ class Verdict:
         if self.note:
             out["note"] = self.note
         return out
+
+
+def capped(check):
+    """check(), or the "unknown" verdict naming the cap it hit."""
+    try:
+        return check()
+    except CapExceeded as exc:
+        return Verdict("unknown", note=f"cap: {exc}")

@@ -457,8 +457,9 @@ def reset_word_via_extension(d, cap=core.SUBSET_BFS_CAP):
 
 # -- orientation-based solving ------------------------------------------------
 
-def properly_oriented(seq, n):
+def properly_oriented(seq):
     """True iff seq is a cyclic rotation of a nondecreasing sequence."""
+    n = len(seq)
     descents = sum(1 for i in range(n) if seq[i] > seq[(i + 1) % n])
     return descents <= 1
 
@@ -475,7 +476,7 @@ def orientation_violations(d, order):
     bad = []
     for a in range(d.k):
         seq = [pos[d.delta[a][order[i]]] for i in range(n)]
-        if not properly_oriented(seq, n):
+        if not properly_oriented(seq):
             bad.append(a)
     return bad
 

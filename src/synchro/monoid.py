@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from synchro.core import CapExceeded, Verdict, compose
+from synchro.core import CapExceeded, Verdict, capped, compose
 
 MONOID_CAP = 200000
 DS_CAP = 2000
@@ -172,10 +172,6 @@ def monoid_summary(d, cap=MONOID_CAP):
     out = {"size": len(m), "idempotents": len(m.idempotents())}
     out["aperiodic"] = is_aperiodic(m).to_json()
     out["involution_free"] = is_involution_free(m).to_json()
-    try:
-        out["ds"] = is_in_ds(m).to_json()
-        out["eds"] = is_in_eds(m).to_json()
-    except CapExceeded as exc:
-        out["ds"] = Verdict("unknown", note=f"cap: {exc}").to_json()
-        out["eds"] = Verdict("unknown", note=f"cap: {exc}").to_json()
+    out["ds"] = capped(lambda: is_in_ds(m)).to_json()
+    out["eds"] = capped(lambda: is_in_eds(m)).to_json()
     return out

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -521,6 +523,37 @@ class TestReport:
         for cid in ("b3", "c3"):
             assert report[cid]["status"] == "unknown"
             assert "cap" in report[cid]["note"]
+
+    def test_outputs_match_the_recorded_hash(self):
+        # the reports of a seeded set of automata (n <= 6, k <= 3), hashed
+        # once and frozen: any change to a verdict, witness, note or key
+        # order shows here
+        automata = [families.gen_cerny(n).dfa for n in range(2, 7)]
+        automata += [families.gen_chain(n).dfa for n in range(2, 7)]
+        automata += [families.gen_rystsov(n).dfa for n in (2, 3, 4)]
+        rng = random.Random(2024)
+        for i in range(80):
+            n, k = rng.choice((1, 2, 3, 4, 4, 5, 5, 6)), rng.randrange(1, 4)
+            rows = [[rng.randrange(n) for _ in range(n)] for _ in range(k)]
+            if i % 4 in (1, 3):
+                rows = [sorted(row) for row in rows]
+            if i % 4 in (2, 3):
+                for z in rng.sample(range(n), rng.randrange(1, min(2, n) + 1)):
+                    for row in rows:
+                        row[z] = z
+            if i % 8 >= 4:
+                rows[0] = rng.sample(range(n), n)
+            automata.append(Dfa(n, tuple("abc"[:k]), tuple(map(tuple, rows))))
+        outputs = []
+        for d in automata:
+            ring = classify.Digraph.from_edges(d.n, [(q, (q + 1) % d.n) for q in range(d.n)])
+            outputs.append(classify.class_report(d))
+            outputs.append(classify.class_report(d, classes=["a4"], delta_graph=ring))
+            outputs.append(monoid.monoid_summary(d))
+            outputs += [classify.order_class_check(d, cls).to_json()
+                        for cls in classify.ORDER_CLASSES]
+        digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+        assert digest == "379bc933a85973cdc5bc8b67bb577bb893db588e264f0e00b015590943f045b6"
 
 
 class TestSoundness:

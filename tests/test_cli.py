@@ -114,6 +114,14 @@ class TestSolveAndRt:
         assert code == 2 and out == ""
         assert "'x'" in err
 
+    @pytest.mark.parametrize("method", ["bfs", "greedy", "extension", "a10", "c7"])
+    @pytest.mark.parametrize("order", ["0,1,2,3", "x"])
+    def test_order_on_another_method_exits_2(self, capsys, c4, method, order):
+        # only eppstein reads an order, so elsewhere it would be silently ignored
+        code, out, err = run(capsys, "solve", c4, "--method", method, "--order", order)
+        assert code == 2 and out == ""
+        assert "--order" in err and method in err and "Traceback" not in err
+
 
 class TestClassifyMonoidBound:
     def test_classify_selected(self, capsys, tmp_path):
@@ -135,6 +143,19 @@ class TestClassifyMonoidBound:
                            "--delta-graph", str(gpath))
         assert code == 0
         assert json.loads(out)["a4"]["status"] == "in"
+
+    def test_classify_delta_graph_without_a4_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "c4.json"
+        run(capsys, "gen", "cerny", "--n", "4", "-o", str(path))
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}))
+        code, out, err = run(capsys, "classify", str(path), "--classes", "a1,a6",
+                             "--delta-graph", str(gpath))
+        assert code == 2 and out == ""
+        assert "--delta-graph" in err and "a4" in err and "Traceback" not in err
+        # without --classes every class runs, a4 among them
+        code, out, _ = run(capsys, "classify", str(path), "--delta-graph", str(gpath))
+        assert code == 0 and json.loads(out)["a4"]["status"] == "in"
 
     @pytest.mark.parametrize("text", [None, "not json", '{"n": 4, "edges": [["x", 1]]}'])
     def test_classify_malformed_delta_graph_exits_2(self, capsys, tmp_path, text):
@@ -263,6 +284,14 @@ class TestVerifyAndEnum:
         code, out, err = run(capsys, *args)
         assert code == 2 and out == ""
         assert f"{path}:3:" in err
+
+    def test_enum_count_with_checkpoint_exits_2(self, capsys, tmp_path):
+        # the count report never reads or writes a checkpoint
+        ck = tmp_path / "no" / "such" / "ck.jsonl"
+        code, out, err = run(capsys, "enum", "--letters", "2", "--states", "3",
+                             "--report", "count", "--checkpoint", str(ck))
+        assert code == 2 and out == ""
+        assert "--checkpoint" in err and "count" in err and "Traceback" not in err
 
     def test_enum_checkpoint_directory_exits_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "enum", "--letters", "2", "--states", "3",

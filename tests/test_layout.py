@@ -68,3 +68,11 @@ def test_every_library_name_has_a_library_caller():
                 live_refs += own[qualname]
                 grew = True
     assert sorted(set(defs) - live) == []
+
+
+def test_every_kept_name_is_defined():
+    # an entry whose definition was deleted would otherwise linger unnoticed
+    names = set()
+    for path in sorted(SRC.glob("*.py")):
+        names.update(qualname for qualname, _, _ in _definitions(ast.parse(path.read_text())))
+    assert sorted(KEPT_API - names) == []

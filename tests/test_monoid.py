@@ -223,6 +223,29 @@ class TestSummary:
         report(cerny(4))
         assert len(calls) == 1
 
+    def test_capped_monoid_built_once(self, monkeypatch):
+        calls = []
+
+        def capped(*args, **kwargs):
+            calls.append(args)
+            raise CapExceeded("transition monoid passed 3 elements")
+
+        monkeypatch.setattr(monoid, "transition_monoid", capped)
+        report = classify.class_report(cerny(4))
+        assert len(calls) == 1
+        for cid in ("a8", "b2", "b3", "c3"):
+            assert report[cid]["status"] == "unknown"
+            assert report[cid]["note"] == "cap: transition monoid passed 3 elements"
+
+    def test_ideal_cap_reports_unknown(self, monkeypatch):
+        monkeypatch.setattr(monoid, "DS_CAP", 3)
+        out = monoid.monoid_summary(cerny(4))
+        assert out["aperiodic"]["status"] == "out"
+        for key in ("ds", "eds"):
+            assert out[key] == {
+                "status": "unknown",
+                "note": f"cap: monoid of size {out['size']} exceeds the ideal-check cap 3"}
+
     def test_chain_summary(self):
         out = monoid.monoid_summary(chain(4))
         assert out["size"] == 4
