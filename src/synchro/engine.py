@@ -259,15 +259,18 @@ def _step_forward(tabs, level, seen, fits):
     return nxt, par, None
 
 
-def _step_backward(pre, level, seen):
-    """The next backward level: the new nonempty preimages of level's masks."""
-    nxt = []
+def _step_backward(pre, level, seen, inside=0):
+    """The next backward level: the new preimages of level's masks that have
+    a state outside the mask inside; with inside = 0, every new nonempty
+    one. A dropped preimage joins seen too, so each new mask is tested once."""
+    nxt, outside = [], ~inside
     for t in pre:
         for m in level:
             m2 = union_mask(t, m)
-            if m2 and m2 not in seen:
+            if m2 not in seen:
                 seen.add(m2)
-                nxt.append(m2)
+                if m2 & outside:
+                    nxt.append(m2)
     return nxt
 
 
@@ -329,16 +332,23 @@ def _backward_search(pre, starts, above):
     holding a preimage with more than above states, or until none is left.
 
     Returns (levels, hit), hit being that level's first such preimage, or
-    None. From one start, _read_down(tabs, levels[:-1], hit) with the image
-    tables is the least word of that length whose preimage has more than
-    above states: that word's suffix preimages each lie in their own level,
-    so the walk takes no greater letter, and the preimage of the walk's
-    word contains the hit. From several starts it is the least shortest
-    reset word when the hit is the full set, as in _meet_search.
+    None. From one start S, every preimage inside S is dropped: T inside S
+    gives T.w^-1 inside S.w^-1 for every word w, and S is at depth 0, so T
+    reaches nothing that S does not reach as early. With above at least |S|,
+    as every caller has it, no hit is dropped, and the hit, its level and
+    each letter _read_down takes stay those of the search without the rule:
+    a mask on the way to a hit that lay inside S would put a hit in an
+    earlier level. From one start, _read_down(tabs, levels[:-1], hit) with
+    the image tables is the least word of that length whose preimage has
+    more than above states: that word's suffix preimages each lie in their
+    own level, so the walk takes no greater letter, and the preimage of the
+    walk's word contains the hit. From several starts it is the least
+    shortest reset word when the hit is the full set, as in _meet_search.
     """
     levels, seen = [list(starts)], set(starts)
+    inside = levels[0][0] if len(levels[0]) == 1 else 0
     while levels[-1]:
-        level = _step_backward(pre, levels[-1], seen)
+        level = _step_backward(pre, levels[-1], seen, inside)
         levels.append(level)
         for m in level:
             if m.bit_count() > above:
@@ -389,6 +399,9 @@ def shortest_extending_word(tabs, pre, mask):
     """The least shortest word v with |mask.v^-1| > |mask|, or None if none exists.
 
     tabs and pre are the automaton's core.image_tables and core.preimage_tables.
+    The backward search from mask drops every preimage inside mask, so a
+    mask that no word extends is proved so by the preimages it has outside
+    itself alone.
     """
     levels, hit = _backward_search(pre, (mask,), mask.bit_count())
     return None if hit is None else _read_down(tabs, levels[:-1], hit)

@@ -97,6 +97,15 @@ class TestSolveAndRt:
         assert code == 2 and out == ""
         assert "--cap" in err and method in err and "Traceback" not in err
 
+    def test_not_extensible_exits_2(self, capsys, tmp_path):
+        # the extension method finds no word extending one 61-state subset
+        path = tmp_path / "r64.json"
+        core.save_dfa(harness.random_synchronizing(64, 2, 2), path)
+        code, out, err = run(capsys, "solve", str(path), "--method", "extension",
+                             "--cap", "64")
+        assert code == 2 and out == ""
+        assert "is not extensible" in err and "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "rt", "/nonexistent.json")
         assert code == 2

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -722,6 +723,102 @@ class TestBackwardSearchCoverage:
                 with pytest.raises(AssertionError, match="not an oriented interval"):
                     engine.eppstein_orientable_word(d)
         assert outcomes == {True, False}
+
+
+def ref_profile(d):
+    """extensibility_profile's by_size, each length from ref_backward_lexmin."""
+    pre = core.letter_preimage_masks(d)
+    by_size = {}
+    for m in range(1, 1 << d.n):
+        size = m.bit_count()
+        if 2 <= size < d.n:
+            found = ref_backward_lexmin(d, pre, (m,), lambda t, s=size: t.bit_count() > s)
+            if found is None:
+                raise engine.NotExtensible(tuple(core.bits(m)))
+            by_size[size] = max(by_size.get(size, 0), len(found[0]))
+    return by_size
+
+
+def extension_outcome(fn, *args):
+    """outcome, with the subset a NotExtensible names."""
+    try:
+        return fn(*args)
+    except engine.NotExtensible as exc:
+        return engine.NotExtensible, exc.subset
+    except core.AutomatonError as exc:
+        return type(exc)
+
+
+class TestInsideStartRule:
+    # A single-start backward search drops every preimage inside its start.
+    # The references keep every nonempty preimage.
+    def test_extension_searches_match_the_unpruned_references(self):
+        rng = random.Random(61)
+        counts = {"word": 0, "none": 0, "profile": 0, "solver": 0}
+        for n in range(2, 15):
+            for k in (1, 2, 3):
+                for _ in range(2):
+                    d = random_dfa(n, k, rng)
+                    tabs, pre = core.image_tables(d), core.preimage_tables(d)
+                    ref_pre = core.letter_preimage_masks(d)
+                    for _ in range(8 if n > 2 else 0):
+                        m = 0
+                        while not 2 <= m.bit_count() < n:
+                            m = rng.getrandbits(n)
+                        found = ref_backward_lexmin(
+                            d, ref_pre, (m,), lambda t, s=m.bit_count(): t.bit_count() > s)
+                        v = engine.shortest_extending_word(tabs, pre, m)
+                        assert v == (None if found is None else found[0]), (d.delta, m)
+                        counts["none" if v is None else "word"] += 1
+                    prof = extension_outcome(lambda: engine.extensibility_profile(d).by_size)
+                    assert prof == extension_outcome(ref_profile, d), d.delta
+                    word = extension_outcome(
+                        lambda: engine.reset_word_via_extension(d, 14).word)
+                    assert word == extension_outcome(ref_extension_word, d), d.delta
+                    for key, out in (("profile", prof), ("solver", word)):
+                        counts[key] += isinstance(out, tuple) and out[0] is engine.NotExtensible
+        # non-extensible outcomes: subsets, profiles and solver runs
+        assert counts["word"] >= 400 and counts["none"] >= 60, counts
+        assert counts["profile"] >= 25 and counts["solver"] >= 5, counts
+
+    def test_non_extensible_proof_keeps_few_subsets(self, monkeypatch):
+        # without the rule the last search lists all 100,265 preimages of
+        # the 61-state subset, in 39 levels
+        from synchro import harness
+        d = harness.random_synchronizing(64, 2, 2)
+        kept = []
+        real = engine._backward_search
+
+        def spy(pre, starts, above):
+            levels, hit = real(pre, starts, above)
+            kept.append(sum(map(len, levels)))
+            return levels, hit
+
+        monkeypatch.setattr(engine, "_backward_search", spy)
+        with pytest.raises(engine.NotExtensible) as err:
+            engine.reset_word_via_extension(d, cap=64)
+        assert err.value.subset == tuple(q for q in range(64) if q not in (45, 51, 62))
+        assert kept[-1] <= 10, kept
+
+    def test_meet_search_steps_every_new_mask(self, monkeypatch):
+        # the masks _meet_search steps on both sides, recorded before the
+        # rule: several starts prune nothing
+        from synchro import harness
+        stepped = []
+        for name in ("_step_forward", "_step_backward"):
+            real = getattr(engine, name)
+
+            def spy(*args, real=real):
+                out = real(*args)
+                stepped.append(out[0] if isinstance(out, tuple) else out)
+                return out
+
+            monkeypatch.setattr(engine, name, spy)
+        for d in (cerny(12), harness.random_synchronizing(16, 2, 0)):
+            engine._meet_search(d)
+        masks = [m for level in stepped for m in level]
+        digest = hashlib.sha256(repr(stepped).encode()).hexdigest()[:16]
+        assert (len(masks), digest) == (284, "85ff159ba51455ed")
 
 
 # -- the bidirectional search against the one-way search ------------------------
