@@ -90,36 +90,58 @@ def _merge_levels(d):
     """Backward search in the pair automaton from the diagonal.
 
     levels[i] lists the pairs (p, q), p < q, whose shortest merging word
-    has length i + 1; a pair that no word merges is in no level.
+    has length i + 1; a pair that no word merges is in no level. The order
+    inside a level is unspecified.
+
+    Per letter a, inv_a[t] holds the states a maps to t, in index order.
+    Level 0 is the pairs inside one such class; the predecessors of a pair
+    (x, y) by a are exactly inv_a[x] × inv_a[y], and the ones not seen yet
+    form the next level. "Seen" is one flat bytearray indexed by p·n + q
+    with both orders marked. The search stops after the level that places
+    the last of the n(n−1)/2 pairs, since no later level can add one.
     """
     n = d.n
-    seen = set()
-    rev = {}
+    seen = bytearray(n * n)
+    invs = []
     level = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            for row in d.delta:
-                pp, qq = row[p], row[q]
-                if pp != qq:
-                    rev.setdefault((pp, qq) if pp < qq else (qq, pp), []).append((p, q))
-                elif (p, q) not in seen:
-                    seen.add((p, q))
+    for row in d.delta:
+        inv = [[] for _ in range(n)]
+        for q, t in enumerate(row):
+            cls = inv[t]
+            for p in cls:
+                if not seen[p * n + q]:
+                    seen[p * n + q] = seen[q * n + p] = 1
                     level.append((p, q))
+            cls.append(q)
+        invs.append(inv)
     levels = []
+    left = n * (n - 1) // 2
     while level:
         levels.append(level)
+        left -= len(level)
+        if not left:
+            break
         nxt = []
-        for pair in level:
-            for src in rev.get(pair, ()):
-                if src not in seen:
-                    seen.add(src)
-                    nxt.append(src)
+        for x, y in level:
+            for inv in invs:
+                ys = inv[y]
+                if ys:
+                    for p in inv[x]:
+                        i = p * n
+                        for q in ys:
+                            if not seen[i + q]:
+                                seen[i + q] = seen[q * n + p] = 1
+                                nxt.append((p, q) if p < q else (q, p))
         level = nxt
     return levels
 
 
 def is_synchronizing(d):
-    """Decide synchronizability by merging pairs backward; no power-set search."""
+    """Decide synchronizability by merging pairs backward; no power-set search.
+
+    The automaton synchronizes iff every pair of states has a merging word,
+    that is, iff _merge_levels places all n(n−1)/2 pairs.
+    """
     return sum(map(len, _merge_levels(d))) == d.n * (d.n - 1) // 2
 
 

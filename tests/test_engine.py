@@ -47,12 +47,44 @@ class TestIsSynchronizing:
 
     def test_one_state(self):
         assert engine.is_synchronizing(one_state())
+        assert engine._merge_levels(one_state()) == []
+        assert engine.merge_probe_target(one_state()) == 0
+
+    def test_permutation_letters_merge_nothing(self):
+        d = Dfa(4, ("a", "b"), ((1, 2, 3, 0), (1, 0, 2, 3)))
+        assert engine._merge_levels(d) == []
+        assert not engine.is_synchronizing(d)
+
+    def test_identity_letter(self):
+        ident = tuple(range(4))
+        c4 = cerny(4)
+        d = Dfa(4, ("e",) + c4.letters, (ident,) + c4.delta)
+        assert level_sets(engine._merge_levels(d)) == level_sets(engine._merge_levels(c4))
+        assert engine.is_synchronizing(d)
+        assert not engine.is_synchronizing(Dfa(4, ("e",), (ident,)))
+
+    def test_one_letter(self):
+        # a path 3 -> 2 -> 1 -> 0 with a loop at 0
+        d = Dfa(4, ("a",), ((0, 0, 1, 2),))
+        assert level_sets(engine._merge_levels(d)) == [
+            {(0, 1)}, {(0, 2), (1, 2)}, {(0, 3), (1, 3), (2, 3)}]
+        assert engine.is_synchronizing(d)
+        # two fixed points: (0, 1) merges, and nothing merges 2 with 0 or 1
+        d = Dfa(3, ("a",), ((0, 0, 2),))
+        assert engine._merge_levels(d) == [[(0, 1)]]
+        assert not engine.is_synchronizing(d)
+
+    def test_merge_probe_target_rejects_non_synchronizing(self):
+        d = Dfa(3, ("a", "b"), ((0, 0, 2), (1, 0, 2)))
+        assert not engine.is_synchronizing(d)
+        with pytest.raises(NotSynchronizing):
+            engine.merge_probe_target(d)
 
     def test_agrees_with_subset_search(self):
         rng = random.Random(23)
-        for _ in range(60):
-            d = random_dfa(rng.randrange(2, 6), 2, rng)
-            # oracle: forward BFS over subsets looking for a singleton
+        for _ in range(150):
+            d = random_dfa(rng.randrange(2, 9), rng.randrange(1, 4), rng)
+            # oracle: forward DFS over subsets looking for a singleton
             full = (1 << d.n) - 1
             seen = {full}
             stack = [full]
@@ -68,6 +100,74 @@ class TestIsSynchronizing:
                         seen.add(m2)
                         stack.append(m2)
             assert engine.is_synchronizing(d) == found
+
+
+# -- the pair-automaton kernel against the reverse-map search ------------------
+
+def ref_merge_levels(d):
+    """_merge_levels as it stood before the predecessor classes: the reverse
+    map of the pair automaton built pair by pair, then a breadth-first
+    search from the pairs one letter merges."""
+    n = d.n
+    seen = set()
+    rev = {}
+    level = []
+    for p in range(n):
+        for q in range(p + 1, n):
+            for row in d.delta:
+                pp, qq = row[p], row[q]
+                if pp != qq:
+                    rev.setdefault((pp, qq) if pp < qq else (qq, pp), []).append((p, q))
+                elif (p, q) not in seen:
+                    seen.add((p, q))
+                    level.append((p, q))
+    levels = []
+    while level:
+        levels.append(level)
+        nxt = []
+        for pair in level:
+            for src in rev.get(pair, ()):
+                if src not in seen:
+                    seen.add(src)
+                    nxt.append(src)
+        level = nxt
+    return levels
+
+
+def level_sets(levels):
+    """The levels as sets, after checking that no level repeats a pair."""
+    sets = [set(level) for level in levels]
+    assert list(map(len, sets)) == list(map(len, levels))
+    return sets
+
+
+class TestMergeLevels:
+    def check(self, d):
+        """Equal level sets and verdicts; returns whether d synchronizes."""
+        ref = ref_merge_levels(d)
+        assert level_sets(engine._merge_levels(d)) == level_sets(ref), d
+        sync = sum(map(len, ref)) == d.n * (d.n - 1) // 2
+        assert engine.is_synchronizing(d) == sync, d
+        return sync
+
+    def test_seeded_unfiltered_tables(self):
+        rng = random.Random(16)
+        verdicts = [self.check(random_dfa(rng.randrange(1, 13), rng.randrange(1, 5), rng))
+                    for _ in range(2000)]
+        assert verdicts.count(False) >= 300
+        assert verdicts.count(True) >= 300
+
+    def test_every_family_instance_up_to_16_states(self):
+        dfas = list(family_instances(16))
+        assert len(dfas) > 100
+        for d in dfas:
+            self.check(d)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_sampled_synchronizing(self, n):
+        from synchro import harness
+        for seed in range(3):
+            assert self.check(harness.random_synchronizing(n, 2, seed))
 
 
 class TestExactResetThreshold:

@@ -24,3 +24,23 @@ def test_rt_routes_repeats_below_one_exits_2(monkeypatch, capsys, repeats):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--repeats" in err and "Traceback" not in err
+
+
+def test_bench_pairs_records_name_the_tree(monkeypatch):
+    bench_pairs = load_tool(monkeypatch, "bench_pairs")
+    diff = b""
+
+    def git(*args):
+        if args[0] == "rev-parse":
+            return b"abc1234\n"
+        assert args == ("diff", "HEAD", "--binary")
+        return diff
+
+    monkeypatch.setattr(bench_pairs, "git", git)
+    assert bench_pairs.describe_checkout() == "abc1234"
+    records = set()
+    for diff in (b"diff --git a/x b/x\n-1\n+2\n", b"diff --git a/x b/x\n-1\n+3\n"):
+        record = bench_pairs.describe_checkout()
+        assert record.startswith("abc1234 + uncommitted changes")
+        records.add(record)
+    assert len(records) == 2

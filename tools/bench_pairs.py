@@ -6,13 +6,15 @@
 Writes BENCH_<topic>.json at the root of this checkout. The parent's
 committed files are exported with ``git archive`` into a temporary
 directory; the change is this checkout as it stands, uncommitted edits
-included. For each workload, seeds run from --first-seed up, one pair per
-seed: both sides run ``perfbench/run.py --trace 0`` in their own tree, one
-after the other and never at once, the parent first on odd seeds and the
-change first on even ones. The file records every run and, per workload, whether every run was
-correct with no failed job, each side's quartiles of every end-to-end
-metric, and the number of pairs in which the change's value was the better
-one, as BENCHMARK.json defines better. ``--extra FILE`` stores that JSON
+included, and is recorded as HEAD plus a sha256 prefix of ``git diff
+HEAD --binary`` (which covers tracked files only). For each workload, seeds run from
+--first-seed up, one pair per seed: both sides run ``perfbench/run.py
+--trace 0`` in their own tree, one after the other and never at once,
+the parent first on odd seeds and the change first on even ones. The
+file records every run and, per workload, whether every run was correct
+with no failed job, each side's quartiles of every end-to-end metric,
+and the number of pairs in which the change's value was the better one,
+as BENCHMARK.json defines better. ``--extra FILE`` stores that JSON
 file's content under "extra"; otherwise "extra" is null.
 
 Exits 2 on bad arguments and 3 when git or a benchmark run fails.
@@ -21,6 +23,7 @@ Exits 2 on bad arguments and 3 when git or a benchmark run fails.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -56,9 +59,13 @@ def short(rev):
 
 
 def describe_checkout():
+    """HEAD's short hash, plus a hash of the uncommitted diff if there is one,
+    so that two records of different trees never read the same."""
     head = short("HEAD")
-    dirty = git("status", "--porcelain", "--untracked-files=no").strip()
-    return f"{head} + uncommitted changes" if dirty else head
+    diff = git("diff", "HEAD", "--binary")
+    if not diff:
+        return head
+    return f"{head} + uncommitted changes (diff sha256 {hashlib.sha256(diff).hexdigest()[:12]})"
 
 
 def run_perfbench(tree, workload, seed, seconds):
