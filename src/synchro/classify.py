@@ -249,22 +249,22 @@ class RystsovGraph:
 
 def restricted_rystsov_graph(d):
     """Census of word-induced transformations up to length n; deficiency-1
-    ones contribute an edge from their dropped state to their doubled state."""
+    ones contribute an edge from their dropped state to their doubled state.
+
+    The closure lists its words in shortlex order, so the first word met for
+    an edge is its least one.
+    """
     n = d.n
     census = monoid.closure(n, d.delta, RYSTSOV_CENSUS_CAP, depth=n)
     edges = {}
     for t, w in zip(census.elements, census.words):
         if deficiency(t) != 1:
             continue
+        # t misses one state and hits one value twice
         image = set(t)
-        excl = next(q for q in range(n) if q not in image)
-        counts = {}
-        for q in range(n):
-            counts[t[q]] = counts.get(t[q], 0) + 1
-        dupl = next(q for q, c in counts.items() if c == 2)
-        key = (excl, dupl)
-        if key not in edges or (len(w), w) < (len(edges[key]), edges[key]):
-            edges[key] = w
+        excl = n * (n - 1) // 2 - sum(image)
+        dupl = sum(t) - sum(image)
+        edges.setdefault((excl, dupl), w)
     return RystsovGraph(n, edges)
 
 

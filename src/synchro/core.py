@@ -280,38 +280,25 @@ def is_permutation(t):
 
 
 def cycles_of(t):
-    """The cycles of a self-map, each as a tuple starting at its least state."""
-    n = len(t)
-    # a state is cyclic iff it recurs under iteration
-    on_cycle = [False] * n
-    seen = [0] * n  # 0 unknown, 1 in progress, 2 done
-    for q0 in range(n):
-        if seen[q0]:
-            continue
-        path = []
-        q = q0
-        while seen[q] == 0:
-            seen[q] = 1
-            path.append(q)
-            q = t[q]
-        if seen[q] == 1:
-            i = path.index(q)
-            for x in path[i:]:
-                on_cycle[x] = True
-        for x in path:
-            seen[x] = 2
+    """The cycles of a self-map, each as a tuple starting at its least state,
+    in order of their least states."""
+    walk = [-1] * len(t)  # the start of the walk that first met each state
     out = []
-    used = set()
-    for q in range(n):
-        if on_cycle[q] and q not in used:
+    for q0 in range(len(t)):
+        q = q0
+        while walk[q] < 0:
+            walk[q] = q0
+            q = t[q]
+        if walk[q] == q0:
+            # the walk met itself: q is on a cycle no earlier walk reached
             cyc = [q]
-            used.add(q)
             x = t[q]
             while x != q:
                 cyc.append(x)
-                used.add(x)
                 x = t[x]
-            out.append(tuple(cyc))
+            i = cyc.index(min(cyc))
+            out.append(tuple(cyc[i:] + cyc[:i]))
+    out.sort()
     return out
 
 

@@ -77,13 +77,19 @@ def _check_subset_cap(n, cap):
 
 
 def _finish(d, word, method):
-    """Verify a candidate reset word and wrap it up. A failure here is a bug."""
-    mask = (1 << d.n) - 1
-    for a in word:
-        mask = image_mask(d.delta[a], mask)
-    if mask.bit_count() != 1:
+    """Verify a candidate reset word and wrap it up. A failure here is a bug.
+
+    Each state is walked through the word on its own: plain row lookups,
+    cheaper than shrinking a state mask bit by bit."""
+    rows = [d.delta[a] for a in word]
+    ends = set()
+    for q in range(d.n):
+        for row in rows:
+            q = row[q]
+        ends.add(q)
+    if len(ends) != 1:
         raise AssertionError(f"{method} produced a non-reset word {word!r}")
-    return SolveResult(tuple(word), method, mask.bit_length() - 1)
+    return SolveResult(tuple(word), method, ends.pop())
 
 
 def _merge_levels(d):
@@ -385,11 +391,9 @@ def exact_reset_threshold(d, cap=core.SUBSET_BFS_CAP):
     forward, preimages of the singletons backward, until the two meet.
     """
     _check_subset_cap(d.n, cap)
-    if d.n == 1:
-        return 0, ()
     if not is_synchronizing(d):
         raise NotSynchronizing("automaton is not synchronizing")
-    word = _meet_search(d)
+    word = _finish(d, _meet_search(d), "bfs").word
     return len(word), word
 
 

@@ -1,16 +1,22 @@
 """Transition-monoid enumeration and the monoid-side class predicates.
 
 Element identity is the transformation array itself; witness words are kept
-for diagnostics only. Ideal computations follow the literal principal-ideal
-implication over the closure, with interning; no structure theory.
+for diagnostics only. Only the closure and the ideal checks multiply
+elements. A predicate on one element reads that map's own functional graph:
+its powers are fixed by its cycles (core.cycles_of), and it is idempotent
+iff it fixes its image. Ideal computations follow the literal principal-ideal
+implication over the closure, with interning; a class is regular iff it
+holds an idempotent.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from synchro.core import CapExceeded, Verdict, capped, compose
+from synchro.core import (
+    CapExceeded, Verdict, capped, compose, cycles_of, is_idempotent,
+    strongly_connected_components,
+)
 
 MONOID_CAP = 200000
 DS_CAP = 2000
@@ -35,7 +41,7 @@ class TransitionMonoid:
         return len(self.elements)
 
     def idempotents(self):
-        return [i for i, t in enumerate(self.elements) if compose(t, t) == t]
+        return [i for i, t in enumerate(self.elements) if is_idempotent(t)]
 
 
 def closure(n, gens, cap=MONOID_CAP, depth=None):
@@ -46,10 +52,8 @@ def closure(n, gens, cap=MONOID_CAP, depth=None):
     index = {ident: 0}
     elements = [ident]
     words = [()]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        t, w = elements[i], words[i]
+    # the breadth-first queue is the element list itself, walked as it grows
+    for t, w in zip(elements, words):
         if len(w) == depth:
             continue
         for a, g in enumerate(gens):
@@ -64,7 +68,6 @@ def closure(n, gens, cap=MONOID_CAP, depth=None):
                     f"transition monoid passed {cap} elements ({len(elements)} so far)"
                     if depth is None else
                     f"transformation census passed {cap} before word length {depth}")
-            queue.append(index[t2])
     generators = tuple(index[g] for g in gens)
     return TransitionMonoid(n, tuple(elements), tuple(words), generators)
 
@@ -74,33 +77,30 @@ def transition_monoid(d, cap=MONOID_CAP):
     return closure(d.n, d.delta, cap)
 
 
-def _power_cycle_length(t):
-    seen = {t: 0}
-    cur = t
-    i = 0
-    while True:
-        cur = compose(cur, t)
-        i += 1
-        if cur in seen:
-            return i - seen[cur]
-        seen[cur] = i
-
-
 def is_aperiodic(m):
-    """Every element's power sequence stabilizes (no nontrivial subgroup)."""
+    """Every element's power sequence stabilizes (no nontrivial subgroup).
+
+    The powers of t are eventually periodic with period the lcm of t's cycle
+    lengths, so they stabilize iff every cycle of t is a fixed point. The
+    witness of "out" is the word of the first element with a longer cycle.
+    """
     for i, t in enumerate(m.elements):
-        if _power_cycle_length(t) != 1:
+        if any(len(cyc) > 1 for cyc in cycles_of(t)):
             return Verdict("out", witness=list(m.words[i]))
     return Verdict("in", witness=len(m))
 
 
 def is_involution_free(m):
-    """No element squares to the identity on a state it moves."""
+    """No element squares to the identity on a state it moves.
+
+    t(t(q)) = q != t(q) holds iff q lies on a 2-cycle of t. The witness of
+    "out" is the first such element and its least such state, the first
+    state of its first 2-cycle.
+    """
     for i, t in enumerate(m.elements):
-        tt = compose(t, t)
-        for q in range(m.n):
-            if tt[q] == q and t[q] != q:
-                return Verdict("out", witness={"word": list(m.words[i]), "state": q})
+        for cyc in cycles_of(t):
+            if len(cyc) == 2:
+                return Verdict("out", witness={"word": list(m.words[i]), "state": cyc[0]})
     return Verdict("in", witness=len(m))
 
 
@@ -112,8 +112,6 @@ def _ideal_class_ids(elements, generators):
     the empty product), so two elements have equal ideals exactly when they
     sit in one strongly connected component of that graph.
     """
-    from synchro.core import strongly_connected_components
-
     index = {t: i for i, t in enumerate(elements)}
     gens = [elements[g] for g in generators]
     succs = []
@@ -127,14 +125,18 @@ def _ideal_class_ids(elements, generators):
 
 
 def _ds_core(elements, generators):
-    """The principal-ideal implication over a closed element list."""
+    """The principal-ideal implication over a closed element list.
+
+    Only regular classes are checked. In a finite monoid x² J x iff the
+    H-class of x is a group, so a class is regular iff it holds an
+    idempotent.
+    """
     ideal_of, index = _ideal_class_ids(elements, generators)
     by_ideal = {}
     for i in range(len(elements)):
         by_ideal.setdefault(ideal_of[i], []).append(i)
     for ideal_id, members in by_ideal.items():
-        if not any(ideal_of[index[compose(elements[x], elements[x])]] == ideal_id
-                   for x in members):
+        if not any(is_idempotent(elements[x]) for x in members):
             continue
         for y in members:
             for z in members:

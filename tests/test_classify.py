@@ -252,7 +252,44 @@ class TestCompletelyReachable:
             assert (v.status, v.witness) == closure_verdict(d)
 
 
+def ref_rystsov_edges(d):
+    """restricted_rystsov_graph's edges by counting each image value and
+    keeping the shortlex least word per edge, comparing as it goes."""
+    n = d.n
+    census = monoid.closure(n, d.delta, classify.RYSTSOV_CENSUS_CAP, depth=n)
+    edges = {}
+    for t, w in zip(census.elements, census.words):
+        if core.deficiency(t) != 1:
+            continue
+        image = set(t)
+        excl = next(q for q in range(n) if q not in image)
+        counts = {}
+        for q in range(n):
+            counts[t[q]] = counts.get(t[q], 0) + 1
+        dupl = next(q for q, c in counts.items() if c == 2)
+        key = (excl, dupl)
+        if key not in edges or (len(w), w) < (len(edges[key]), edges[key]):
+            edges[key] = w
+    return edges
+
+
 class TestRystsovGraph:
+    def test_matches_the_comparing_census(self):
+        from synchro import harness
+        rng = random.Random(250)
+        dfas = [families.gen_cerny(n).dfa for n in range(2, 7)]
+        dfas += [families.gen_rystsov(n).dfa for n in range(2, 7)]
+        dfas += list(harness.enumerate_automata(harness.EnumerationFilter(2, 3)))
+        dfas += [Dfa(n, "abc"[:k], tuple(tuple(rng.randrange(n) for _ in range(n))
+                                         for _ in range(k)))
+                 for n, k in [(rng.randrange(2, 7), rng.randrange(1, 4)) for _ in range(300)]]
+        nonempty = 0
+        for d in dfas:
+            edges = classify.restricted_rystsov_graph(d).edges
+            assert list(edges.items()) == list(ref_rystsov_edges(d).items()), d
+            nonempty += bool(edges)
+        assert nonempty > 200
+
     def test_cerny_edges_and_connectivity(self):
         g = classify.restricted_rystsov_graph(cerny(5))
         for i in range(5):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -245,6 +246,65 @@ class TestTransformations:
         assert core.cycles_of((1, 0, 2)) == [(0, 1), (2,)]
         assert core.cycles_of((1, 2, 0)) == [(0, 1, 2)]
         assert core.cycles_of((0, 0, 1)) == [(0,)]
+        assert core.cycles_of(()) == []
+        assert core.cycles_of((2, 3, 4, 0, 1)) == [(0, 2, 4, 1, 3)]
+
+
+def ref_cycles_of(t):
+    """cycles_of as it stood before the one-pass walk: one pass marks the
+    cyclic states, a second walks each cycle from its least state."""
+    n = len(t)
+    on_cycle = [False] * n
+    seen = [0] * n
+    for q0 in range(n):
+        if seen[q0]:
+            continue
+        path = []
+        q = q0
+        while seen[q] == 0:
+            seen[q] = 1
+            path.append(q)
+            q = t[q]
+        if seen[q] == 1:
+            for x in path[path.index(q):]:
+                on_cycle[x] = True
+        for x in path:
+            seen[x] = 2
+    out = []
+    used = set()
+    for q in range(n):
+        if on_cycle[q] and q not in used:
+            cyc = [q]
+            used.add(q)
+            x = t[q]
+            while x != q:
+                cyc.append(x)
+                used.add(x)
+                x = t[x]
+            out.append(tuple(cyc))
+    return out
+
+
+class TestCyclesOf:
+    def test_every_self_map_up_to_six_points(self):
+        count = 0
+        for n in range(1, 7):
+            for t in itertools.product(range(n), repeat=n):
+                assert core.cycles_of(t) == ref_cycles_of(t), t
+                count += 1
+        assert count == 50069
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_seeded_maps(self, n):
+        rng = random.Random(n)
+        for i in range(200):
+            if i % 2:
+                # a permutation: every state is cyclic
+                t = list(range(n))
+                rng.shuffle(t)
+            else:
+                t = [rng.randrange(n) for _ in range(n)]
+            assert core.cycles_of(tuple(t)) == ref_cycles_of(tuple(t))
 
 
 class TestJson:

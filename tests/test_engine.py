@@ -222,6 +222,13 @@ class TestExactResetThreshold:
         with pytest.raises(NotSynchronizing):
             engine.exact_reset_threshold(d)
 
+    @pytest.mark.parametrize("word", [(), (0,), (1, 0, 1)])
+    def test_word_is_rerun(self, monkeypatch, word):
+        # a search that returned a non-reset word would be a bug, not an answer
+        monkeypatch.setattr(engine, "_meet_search", lambda d: word)
+        with pytest.raises(AssertionError, match="non-reset word"):
+            engine.exact_reset_threshold(cerny(4))
+
     def test_cap(self):
         d = Dfa(3, ("a",), ((0, 0, 1),))
         with pytest.raises(CapExceeded):

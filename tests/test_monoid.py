@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from synchro import classify, core, families, monoid
+from synchro import classify, core, families, harness, monoid
 from synchro.core import CapExceeded, Dfa
+from test_engine import family_instances
 
 
 def cerny(n):
@@ -256,3 +257,124 @@ class TestSummary:
         m = monoid.transition_monoid(cerny(4))
         verdict = monoid.is_in_ds(m)
         assert verdict.status in ("in", "out")
+
+
+# -- the cycle-reading predicates against the rules that multiplied ------------
+
+def ref_power_cycle_length(t):
+    """The period of t's power sequence, by composing powers until one recurs."""
+    seen = {t: 0}
+    cur = t
+    i = 0
+    while True:
+        cur = core.compose(cur, t)
+        i += 1
+        if cur in seen:
+            return i - seen[cur]
+        seen[cur] = i
+
+
+def ref_idempotents(m):
+    return [i for i, t in enumerate(m.elements) if core.compose(t, t) == t]
+
+
+def ref_is_aperiodic(m):
+    for t, w in zip(m.elements, m.words):
+        if ref_power_cycle_length(t) != 1:
+            return core.Verdict("out", witness=list(w))
+    return core.Verdict("in", witness=len(m))
+
+
+def ref_is_involution_free(m):
+    for t, w in zip(m.elements, m.words):
+        tt = core.compose(t, t)
+        for q in range(m.n):
+            if tt[q] == q and t[q] != q:
+                return core.Verdict("out", witness={"word": list(w), "state": q})
+    return core.Verdict("in", witness=len(m))
+
+
+def ref_ds_core(elements, generators):
+    """_ds_core with a class counted regular when some x has x² in it."""
+    ideal_of, index = monoid._ideal_class_ids(elements, generators)
+    by_ideal = {}
+    for i in range(len(elements)):
+        by_ideal.setdefault(ideal_of[i], []).append(i)
+    for ideal_id, members in by_ideal.items():
+        if not any(ideal_of[index[core.compose(elements[x], elements[x])]] == ideal_id
+                   for x in members):
+            continue
+        for y in members:
+            for z in members:
+                if ideal_of[index[core.compose(elements[y], elements[z])]] != ideal_id:
+                    return (y, z)
+    return None
+
+
+def ref_is_in_ds(m):
+    if len(m) > monoid.DS_CAP:
+        raise CapExceeded(f"monoid of size {len(m)} exceeds the ideal-check cap {monoid.DS_CAP}")
+    bad = ref_ds_core(m.elements, m.generators)
+    if bad is None:
+        return core.Verdict("in", witness=len(m))
+    y, z = bad
+    return core.Verdict("out", witness={"y": list(m.words[y]), "z": list(m.words[z])})
+
+
+def ref_is_in_eds(m):
+    if len(m) > monoid.DS_CAP:
+        raise CapExceeded(f"monoid of size {len(m)} exceeds the ideal-check cap {monoid.DS_CAP}")
+    sub = monoid.closure(m.n, [m.elements[i] for i in ref_idempotents(m)])
+    if ref_ds_core(sub.elements, sub.generators) is None:
+        return core.Verdict("in", witness=len(sub))
+    return core.Verdict("out", witness={"submonoid_size": len(sub)})
+
+
+PREDICATES = [
+    ("aperiodic", monoid.is_aperiodic, ref_is_aperiodic),
+    ("involution_free", monoid.is_involution_free, ref_is_involution_free),
+    ("ds", monoid.is_in_ds, ref_is_in_ds),
+    ("eds", monoid.is_in_eds, ref_is_in_eds),
+]
+
+# 1,433 elements and 129 idempotents; its EDS check closes a large submonoid
+EDS_HEAVY = Dfa(5, ("a", "b", "c"), ((2, 3, 0, 4, 1), (1, 1, 2, 3, 4), (1, 2, 2, 3, 4)))
+
+
+class TestPredicatesMatchTheSquaringRules:
+    def check(self, dfas):
+        """Equal verdicts and idempotents on every automaton; returns the
+        statuses each predicate gave."""
+        statuses = {name: set() for name, _, _ in PREDICATES}
+        for d in dfas:
+            m = monoid.transition_monoid(d)
+            assert m.idempotents() == ref_idempotents(m), d
+            for name, check, ref in PREDICATES:
+                got = core.capped(lambda: check(m)).to_json()
+                assert got == core.capped(lambda: ref(m)).to_json(), (name, d)
+                statuses[name].add(got["status"])
+        return statuses
+
+    def test_eds_heavy_automaton(self):
+        m = monoid.transition_monoid(EDS_HEAVY)
+        assert len(m) == 1433 and len(m.idempotents()) == 129
+        self.check([EDS_HEAVY])
+
+    def test_family_instances_up_to_six_states(self):
+        statuses = self.check(family_instances(6))
+        for name, _, _ in PREDICATES:
+            # ds and eds are also "unknown" past the ideal-check cap
+            assert {"in", "out"} <= statuses[name], name
+
+    def test_seeded_census_classes(self):
+        classes = list(harness.enumerate_automata(harness.EnumerationFilter(2, 4)))
+        statuses = self.check(random.Random(17).sample(classes, 400))
+        for name, _, _ in PREDICATES:
+            assert statuses[name] == {"in", "out"}, name
+
+    def test_cycle_witnesses(self):
+        # the powers of the 3-cycle never stabilize, and the first element
+        # with a 2-cycle names its least state on one
+        m = monoid.transition_monoid(Dfa(4, ("a", "b"), ((1, 2, 0, 3), (0, 3, 2, 1))))
+        assert monoid.is_aperiodic(m).to_json()["witness"] == [0]
+        assert monoid.is_involution_free(m).to_json()["witness"] == {"word": [1], "state": 1}

@@ -44,3 +44,16 @@ def test_bench_pairs_records_name_the_tree(monkeypatch):
         assert record.startswith("abc1234 + uncommitted changes")
         records.add(record)
     assert len(records) == 2
+
+
+def test_bench_pairs_host_names_the_bytecode_setting(monkeypatch):
+    bench_pairs = load_tool(monkeypatch, "bench_pairs")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_pairs.describe_host().endswith("PYTHONDONTWRITEBYTECODE set")
+    # Python counts the variable as set only when it is not empty
+    for value in ("", None):
+        if value is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+        assert bench_pairs.describe_host().endswith("PYTHONDONTWRITEBYTECODE unset")

@@ -68,6 +68,15 @@ def describe_checkout():
     return f"{head} + uncommitted changes (diff sha256 {hashlib.sha256(diff).hexdigest()[:12]})"
 
 
+def describe_host():
+    """CPUs, system and Python, and whether PYTHONDONTWRITEBYTECODE is set:
+    when it is, every perfbench set-up compiles the library from source, so
+    setup_s is mostly compile time."""
+    bytecode = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "unset"
+    return (f"{os.cpu_count()}-CPU {platform.system()} {platform.machine()}, "
+            f"Python {platform.python_version()}, PYTHONDONTWRITEBYTECODE {bytecode}")
+
+
 def run_perfbench(tree, workload, seed, seconds):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -174,8 +183,7 @@ def main(argv=None):
         "change": change,
         "command": f"python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {args.seconds:g} --trace 0",
-        "host": f"{os.cpu_count()}-CPU {platform.system()} {platform.machine()}, "
-                f"Python {platform.python_version()}",
+        "host": describe_host(),
         "order": "one pair per seed; odd seeds run the parent first, even seeds the change",
         "runs": runs,
         "medians": medians(runs, better),
