@@ -226,7 +226,10 @@ def is_completely_reachable(d):
     """Every non-empty subset is an image of the full state set."""
     if d.n > REACHABILITY_CAP:
         raise CapExceeded(f"n={d.n} exceeds the reachability cap {REACHABILITY_CAP}")
-    *_, seen = engine._forward_search(core.image_tables(d), (1 << d.n) - 1, lambda m: False)
+    tabs, level = core.image_tables(d), [(1 << d.n) - 1]
+    seen = set(level)
+    while level:
+        level = engine._step_forward(tabs, level, seen, lambda m: False)[0]
     if len(seen) == (1 << d.n) - 1:
         return Verdict("in", witness=len(seen))
     missing = next(m for m in range(1, 1 << d.n) if m not in seen)

@@ -267,7 +267,7 @@ def deficiency(t):
 
 
 def is_idempotent(t):
-    return all(t[x] == x for x in set(t))
+    return all(t[x] == x for x in t)
 
 
 def simple_idempotents(d):

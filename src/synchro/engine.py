@@ -151,31 +151,57 @@ def is_synchronizing(d):
     return sum(map(len, _merge_levels(d))) == d.n * (d.n - 1) // 2
 
 
-def merge_probe_target(d):
-    """A state the automaton can be reset to, found by repeated pair merging.
+def _merge_down(d, pick):
+    """Shrink the full state set to one state by pair merging: (word, state).
 
-    Each step merges the two least states of the current set by their least
-    shortest merging word: at each pair, the least letter whose image pair
-    merges or lies one level closer to the diagonal.
+    While the current set of states cur has two or more, pick(levels, cur)
+    returns some of its pairs, all on one level of _merge_levels(d). Then
+    each letter is the least one carrying some tracked pair one level lower,
+    and only those pairs stay tracked: the piece is the least shortest word
+    merging a picked pair. level_of[p·n + q] is the level of {p, q}, and -1
+    on the diagonal, so a merged pair reads as level -1. Raises
+    NotSynchronizing when some pair is on no level.
     """
     n = d.n
     levels = _merge_levels(d)
     if sum(map(len, levels)) != n * (n - 1) // 2:
         raise NotSynchronizing("automaton is not synchronizing")
-    dist = {pair: i for i, level in enumerate(levels) for pair in level}
-    cur = (1 << n) - 1
-    while cur & (cur - 1):
-        pair = tuple(bits(cur))[:2]
-        while pair[0] != pair[1]:
-            want = dist[pair] - 1  # a merged pair is on no level: it reads as -1
-            for row in d.delta:
-                pp, qq = row[pair[0]], row[pair[1]]
-                key = (pp, qq) if pp < qq else (qq, pp)
-                if dist.get(key, -1) == want:
+    level_of = [-1] * (n * n)
+    for i, level in enumerate(levels):
+        for p, q in level:
+            level_of[p * n + q] = level_of[q * n + p] = i
+    word = []
+    cur = set(range(n))
+    while len(cur) > 1:
+        pairs = pick(levels, cur)
+        p, q = pairs[0]
+        for want in range(level_of[p * n + q] - 1, -2, -1):
+            for a, row in enumerate(d.delta):
+                moved = [(row[p], row[q]) for p, q in pairs
+                         if level_of[row[p] * n + row[q]] == want]
+                if moved:
                     break
-            cur = image_mask(row, cur)
-            pair = key
-    return cur.bit_length() - 1
+            word.append(a)
+            cur = {row[q] for q in cur}
+            pairs = moved
+    return tuple(word), cur.pop()
+
+
+def merge_probe_target(d):
+    """A state the automaton can be reset to, found by repeated pair merging.
+
+    Each step merges the two least states of the current set by their least
+    shortest merging word (_merge_down).
+    """
+    return _merge_down(d, lambda levels, cur: [tuple(sorted(cur)[:2])])[1]
+
+
+def _lowest_pairs(levels, cur):
+    """The pairs inside cur on the lowest level that holds any."""
+    for level in levels:
+        pairs = [pair for pair in level if pair[0] in cur and pair[1] in cur]
+        if pairs:
+            return pairs
 
 
 def _least_letter(tabs, m, ok):
@@ -337,24 +363,6 @@ def _read_down(tabs, levels, m):
     return tuple(word)
 
 
-def _forward_search(tabs, start, fits):
-    """Forward levels from [start] until a new image fits or none is left.
-
-    Returns (levels, parents, hit, seen): the levels and parent positions
-    as _step_forward builds them, hit the position in levels[-1] of the
-    first image that fits (None once the images are exhausted), and seen
-    every mask reached, start included. The start itself is not tested.
-    _read_word(tabs, levels, parents, hit) is the hit's least word.
-    """
-    levels, parents, seen = [[start]], [None], {start}
-    hit = None
-    while hit is None and levels[-1]:
-        level, par, hit = _step_forward(tabs, levels[-1], seen, fits)
-        levels.append(level)
-        parents.append(par)
-    return levels, parents, hit, seen
-
-
 def _backward_search(pre, starts, above):
     """Backward levels from the start masks to the end of the first level
     holding a preimage with more than above states, or until none is left.
@@ -400,25 +408,13 @@ def exact_reset_threshold(d, cap=core.SUBSET_BFS_CAP):
 def greedy_compression_word(d, cap=core.SUBSET_BFS_CAP):
     """Compress the full state set step by step, each step by a shortest word.
 
-    Each step runs a BFS from the current image and stops at the first
-    strictly smaller subset (ties broken lexicographically).
+    Each step is the least shortest word shrinking the current set S. A word
+    shrinks S iff it merges a pair of S, so such words carry a pair from the
+    lowest level holding one of S's pairs down one level per letter, and
+    _merge_down from the pairs of that level spells the least of them.
     """
     _check_subset_cap(d.n, cap)
-    if d.n == 1:
-        return _finish(d, (), "greedy")
-    if not is_synchronizing(d):
-        raise NotSynchronizing("automaton is not synchronizing")
-    tabs = core.image_tables(d)
-    word = ()
-    cur = (1 << d.n) - 1
-    while cur.bit_count() > 1:
-        levels, parents, hit, _ = _forward_search(
-            tabs, cur, lambda m, size=cur.bit_count(): m.bit_count() < size)
-        if hit is None:
-            raise AssertionError("no compressing word found for a synchronizing automaton")
-        word += _read_word(tabs, levels, parents, hit)
-        cur = levels[-1][hit]
-    return _finish(d, word, "greedy")
+    return _finish(d, _merge_down(d, _lowest_pairs)[0], "greedy")
 
 
 def shortest_extending_word(tabs, pre, mask):

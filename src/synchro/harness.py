@@ -35,7 +35,7 @@ from fractions import Fraction
 from operator import rshift
 
 from synchro import bounds, classify, core, engine, families, monoid
-from synchro.core import CapExceeded, Dfa, DomainError, InputError, StateSet
+from synchro.core import CapExceeded, Dfa, DomainError, InputError, NotSynchronizing, StateSet
 
 ENUM_STATE_CAP = 6
 ENUM_LETTER_CAP = 2
@@ -250,10 +250,9 @@ def census_max_rt(filt, checkpoint=None):
                "attainers": []}
         for d in _representatives(filt, tables, shard):
             rec["classes"] += 1
-            # the filter has already dropped non-synchronizing tables
-            if filt.synchronizing or engine.is_synchronizing(d):
+            try:
                 rt, _ = engine.exact_reset_threshold(d)
-            else:
+            except NotSynchronizing:
                 rt = -1
             if rt > rec["max_rt"]:
                 rec["max_rt"] = rt

@@ -307,6 +307,17 @@ class TestCyclesOf:
             assert core.cycles_of(tuple(t)) == ref_cycles_of(tuple(t))
 
 
+class TestIsIdempotent:
+    def test_every_self_map_up_to_six_points(self):
+        # reference: the form that tested only the states of the image set
+        count = 0
+        for n in range(1, 7):
+            for t in itertools.product(range(n), repeat=n):
+                assert core.is_idempotent(t) == all(t[x] == x for x in set(t)), t
+                count += 1
+        assert count == 50069
+
+
 class TestJson:
     def test_roundtrip(self):
         d = cerny(5)

@@ -282,6 +282,51 @@ class TestGreedy:
             assert i == len(word)
 
 
+class TestGreedyPairs:
+    # greedy runs on the pair levels alone: no subset search, no image tables
+    def test_one_state(self):
+        res = engine.greedy_compression_word(one_state())
+        assert res.word == () and res.target == 0
+
+    def test_permutation_letters_raise(self):
+        d = Dfa(4, ("a", "b"), ((1, 2, 3, 0), (1, 0, 2, 3)))
+        assert engine._merge_levels(d) == []
+        with pytest.raises(NotSynchronizing):
+            engine.greedy_compression_word(d)
+
+    def test_merging_letter_that_does_not_synchronize_raises(self):
+        d = Dfa(3, ("a", "b"), ((0, 0, 2), (1, 0, 2)))
+        assert engine._merge_levels(d)
+        with pytest.raises(NotSynchronizing):
+            engine.greedy_compression_word(d)
+
+    def test_cap(self):
+        with pytest.raises(CapExceeded):
+            engine.greedy_compression_word(cerny(5), cap=4)
+
+    def test_runs_without_subset_search(self, monkeypatch):
+        from synchro import harness
+        dfas = [cerny(8), harness.random_synchronizing(12, 2, 3)]
+        want = [ref_greedy_word(d) for d in dfas]
+
+        def refuse(*args):
+            raise AssertionError("greedy ran a subset step")
+
+        monkeypatch.setattr(core, "image_tables", refuse)
+        monkeypatch.setattr(engine, "_step_forward", refuse)
+        assert [engine.greedy_compression_word(d).word for d in dfas] == want
+
+    def test_agrees_with_reference_on_seeded_tables(self):
+        rng = random.Random(41)
+        words = 0
+        for _ in range(1000):
+            d = random_dfa(rng.randrange(1, 13), rng.randrange(1, 5), rng)
+            got = outcome(lambda d: engine.greedy_compression_word(d).word, d)
+            assert got == outcome(ref_greedy_word, d), d.delta
+            words += isinstance(got, tuple)
+        assert 0 < words < 1000
+
+
 class TestExtension:
     def test_eulerian_profile_within_n_minus_1(self):
         prof = engine.extensibility_profile(EULERIAN3)
