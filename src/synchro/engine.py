@@ -204,11 +204,6 @@ def _lowest_pairs(levels, cur):
             return pairs
 
 
-def _least_letter(tabs, m, ok):
-    """The least letter a for which ok(union_mask(tabs[a], m)) holds."""
-    return next(a for a, t in enumerate(tabs) if ok(union_mask(t, m)))
-
-
 FIT_SCAN = 8   # levels no wider than this or than n are scanned mask by mask
 # _ABSENT[i][v] is "1" where bit i of the byte v is clear, "0" where it is set
 _ABSENT = [(b"1" * (1 << i) + b"0" * (1 << i)) * (128 >> i) for i in range(8)]
@@ -254,9 +249,8 @@ def _meet_search(d):
     """The least shortest reset word of d, by a bidirectional subset search.
 
     Forward levels F_0 = [Q], F_1, ... list the images of the full set Q by
-    the length of their shortest word, each in least-word order, with a
-    parallel list of each mask's parent position in the level before.
-    Backward levels B_0 = the singletons, B_1, ... list their nonempty
+    the length of their shortest word, each in least-word order. Backward
+    levels B_0 = the singletons, B_1, ... list their nonempty
     preimages likewise. Each round expands the narrower last level, ties
     going forward, and tests only the new level against the other side's
     last level, so every depth pair (i, j) the search passes through is
@@ -274,16 +268,15 @@ def _meet_search(d):
     n = d.n
     tabs, pre = core.image_tables(d), None
     full = (1 << n) - 1
-    fwd, parents, back = [[full]], [None], [[1 << q for q in range(n)]]
+    fwd, back = [[full]], [[1 << q for q in range(n)]]
     fseen, bseen = {full}, set(back[0])
     fits = _is_singleton    # what fits B_0, images being nonempty
     hit = _first_fit(fwd[0], fits)
     while hit is None:
         forward = len(fwd[-1]) <= len(back[-1])
         if forward:
-            level, par, hit = _step_forward(tabs, fwd[-1], fseen, fits)
+            level, hit = _step_forward(tabs, fwd[-1], fseen, fits)
             fwd.append(level)
-            parents.append(par)
         else:
             pre = pre or core.preimage_tables(d)
             level = _step_backward(pre, back[-1], bseen)
@@ -293,24 +286,22 @@ def _meet_search(d):
         if not level:
             side = "forward" if forward else "backward"
             raise AssertionError(f"the {side} frontier emptied before the two sides met")
-    return _read_word(tabs, fwd, parents, hit) + _read_down(tabs, back[:-1], fwd[-1][hit])
+    return _read_word(tabs, fwd, hit) + _read_down(tabs, back[:-1], hit)
 
 
 def _step_forward(tabs, level, seen, fits):
-    """The next forward level, in least-word order, and each new mask's
-    parent position in level. Stops at the first new mask that fits and
-    returns its position as hit (else hit is None): (next, parents, hit)."""
-    nxt, par = [], []
-    for p, m in enumerate(level):
+    """The next forward level, in least-word order. Stops at the first new
+    mask that fits and returns it as hit (else hit is None): (next, hit)."""
+    nxt = []
+    for m in level:
         for t in tabs:
             m2 = union_mask(t, m)
             if m2 not in seen:
                 seen.add(m2)
                 nxt.append(m2)
-                par.append(p)
                 if fits(m2):
-                    return nxt, par, len(nxt) - 1
-    return nxt, par, None
+                    return nxt, m2
+    return nxt, None
 
 
 def _step_backward(pre, level, seen, inside=0):
@@ -329,22 +320,21 @@ def _step_backward(pre, level, seen, inside=0):
 
 
 def _first_fit(masks, fits):
-    """The position of the first of masks that fits, or None."""
-    for p, m in enumerate(masks):
-        if fits(m):
-            return p
-    return None
+    """The first of masks that fits, or None."""
+    return next((m for m in masks if fits(m)), None)
 
 
-def _read_word(tabs, levels, parents, p):
-    """The least word of levels[-1][p] from levels[0], read off the parent
-    positions _step_forward recorded: each letter is the least one carrying
-    the parent to the mask, the one the step found it by."""
+def _read_word(tabs, levels, m):
+    """The least word of m, a mask of levels[-1], from levels[0]. Each mask's
+    parent is the first mask of the level before that some letter carries
+    to it, and its letter the least such one: a level is built in (mask,
+    letter) order and a mask joins it at its first discovery, so these are
+    the parent and letter _step_forward found it by."""
     word = []
-    for i in range(len(levels) - 1, 0, -1):
-        up = parents[i][p]
-        word.append(_least_letter(tabs, levels[i - 1][up], levels[i][p].__eq__))
-        p = up
+    for level in reversed(levels[:-1]):
+        a, m = next((a, up) for up in level for a, t in enumerate(tabs)
+                    if union_mask(t, up) == m)
+        word.append(a)
     word.reverse()
     return tuple(word)
 
@@ -357,7 +347,8 @@ def _read_down(tabs, levels, m):
     for level in reversed(levels):
         # at most k masks are tested against each level here, too few to
         # pay for its fit tables
-        a = _least_letter(tabs, m, _scan_fit(level))
+        fits = _scan_fit(level)
+        a = next(a for a, t in enumerate(tabs) if fits(union_mask(t, m)))
         word.append(a)
         m = union_mask(tabs[a], m)
     return tuple(word)
@@ -454,31 +445,25 @@ def extensibility_profile(d):
 
 
 def reset_word_via_extension(d, cap=core.SUBSET_BFS_CAP):
-    """Grow a singleton's preimage back to the full state set.
-
-    The start state is the first state (in index order) with a two-or-more
-    element preimage under some letter; that letter seeds the word. Each
-    later piece is a shortest extending word; pieces are prepended.
-    """
+    """Grow a singleton's preimage back to the full state set (_extension_word)."""
     _check_subset_cap(d.n, cap)
-    if d.n == 1:
-        return _finish(d, (), "extension")
     if not is_synchronizing(d):
         raise NotSynchronizing("automaton is not synchronizing")
+    return _finish(d, _extension_word(d) if d.n > 1 else (), "extension")
+
+
+def _extension_word(d):
+    """The extension method's reset word of a synchronizing d with n >= 2.
+
+    The start state is the first state (in index order) with a two-or-more
+    element preimage under some letter, which exists since some letter
+    merges two states; that letter seeds the word. Each later piece is a
+    shortest extending word; pieces are prepended.
+    """
     tabs, pre = core.image_tables(d), core.preimage_tables(d)
-    seed = None
-    for q in range(d.n):
-        for a in range(d.k):
-            if union_mask(pre[a], 1 << q).bit_count() >= 2:
-                seed = (q, a)
-                break
-        if seed:
-            break
-    if seed is None:
-        raise NotSynchronizing("no letter merges two states")
-    q, a = seed
+    a, mask = next((a, m) for q in range(d.n) for a, t in enumerate(pre)
+                   if (m := union_mask(t, 1 << q)).bit_count() >= 2)
     word = (a,)
-    mask = union_mask(pre[a], 1 << q)
     full = (1 << d.n) - 1
     while mask != full:
         v = shortest_extending_word(tabs, pre, mask)
@@ -487,7 +472,7 @@ def reset_word_via_extension(d, cap=core.SUBSET_BFS_CAP):
         word = v + word
         for b in reversed(v):
             mask = union_mask(pre[b], mask)
-    return _finish(d, word, "extension")
+    return word
 
 
 # -- orientation-based solving ------------------------------------------------
@@ -637,7 +622,7 @@ def _a10_word(d, ia, ib):
         for c in off_cycle:
             if len(c) != 1 or arow[c[0]] != c[0]:
                 raise AssertionError("b-cycle avoiding the dropped state is not a zero")
-        return greedy_compression_word(d).word
+        return _merge_down(d, _lowest_pairs)[0]
     (cycle,) = cycles
     m = len(cycle)
     if m == 1:
@@ -645,7 +630,7 @@ def _a10_word(d, ia, ib):
     if m == n:
         # b is a cyclic permutation of the whole state set; grow a singleton
         # preimage instead (each extension step is at most n letters here)
-        return reset_word_via_extension(d).word
+        return _extension_word(d)
     cycle_set = set(cycle)
     dstate = arow[e]
     if dstate in cycle_set:

@@ -106,6 +106,14 @@ class TestSolveAndRt:
         assert code == 2 and out == ""
         assert "is not extensible" in err and "Traceback" not in err
 
+    def test_a10_past_20_states(self, capsys, tmp_path):
+        # a cyclic-case input: the solver composes kernels with no state cap
+        path = tmp_path / "a10.json"
+        core.save_dfa(harness.random_simple_idempotent_binary(24, 38), path)
+        code, out, err = run(capsys, "solve", str(path), "--method", "a10")
+        assert code == 0 and err == ""
+        assert json.loads(out)["method"] == "a10"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "rt", "/nonexistent.json")
         assert code == 2

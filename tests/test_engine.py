@@ -515,6 +515,25 @@ class TestA10:
             rt, _ = engine.exact_reset_threshold(d)
             assert res.length >= rt
 
+    # Above 20 states: the zero and cyclic cases run the pair-merging and
+    # extension kernels, which have no cap on the state count.
+    @pytest.mark.parametrize("n", range(21, 31))
+    def test_cerny_past_20_states(self, n):
+        from synchro import families
+        d = families.gen_cerny(n).dfa
+        res = engine.a10_binary_idempotent_word(d)
+        assert {core.apply_word(d, q, res.word) for q in range(n)} == {res.target}
+        assert res.length <= (n - 1) ** 2
+
+    @pytest.mark.parametrize("n", [21, 24, 32, 48])
+    def test_random_past_20_states(self, n):
+        from synchro import harness
+        for seed in range(6):
+            d = harness.random_simple_idempotent_binary(n, seed)
+            res = engine.a10_binary_idempotent_word(d)
+            assert {core.apply_word(d, q, res.word) for q in range(n)} == {res.target}
+            assert res.length <= (n - 1) ** 2
+
 
 class TestNumberTheory:
     def test_frobenius_small(self):

@@ -76,3 +76,16 @@ def test_every_kept_name_is_defined():
     for path in sorted(SRC.glob("*.py")):
         names.update(qualname for qualname, _, _ in _definitions(ast.parse(path.read_text())))
     assert sorted(KEPT_API - names) == []
+
+
+def test_no_engine_function_calls_a_capped_solver():
+    # A function that checks the subset cap is a front door for callers
+    # outside the engine. Inside it, call its kernel: going through the door
+    # would inherit its cap on the state count and repeat its checks.
+    tree = ast.parse((SRC / "engine.py").read_text())
+    funcs = {node.name: _references(node) for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    capped = {name for name, refs in funcs.items() if refs["_check_subset_cap"]}
+    assert capped
+    calls = {name: sorted(c for c in capped - {name} if refs[c]) for name, refs in funcs.items()}
+    assert {name: found for name, found in calls.items() if found} == {}
