@@ -100,8 +100,9 @@ def pseudo_eulerian_weights(d):
     if d.k > WEIGHT_LETTER_CAP:
         raise CapExceeded(f"{d.k} letters exceed the weight-system cap {WEIGHT_LETTER_CAP}")
     indeg = _in_degree_matrix(d)
+    # no "sum to 1" row: each letter's in-degrees add up to n, so the state
+    # rows add up to n times it
     rows = [[Fraction(c) for c in indeg[q]] + [Fraction(1)] for q in range(d.n)]
-    rows.append([Fraction(1)] * d.k + [Fraction(1)])
     solution = _solve_positive(rows, d.k)
     if solution is None:
         return Verdict("out", note="no positive weight vector exists")
@@ -154,7 +155,10 @@ def _solve_positive(rows, nvars):
 
 
 def _fourier_motzkin(ineqs, nfree):
-    """Find t with const + coeffs . t > 0 for all strict inequalities."""
+    """Find t with const + coeffs . t > 0 for all strict inequalities.
+
+    Among them is t_j > 0 for every j, as _solve_positive passes them, so
+    each variable has a lower bound when it is substituted back."""
     if nfree == 0:
         return [] if all(const > 0 for const, _ in ineqs) else None
     stages = []
@@ -182,14 +186,10 @@ def _fourier_motzkin(ineqs, nfree):
     for var, lowers, uppers in reversed(stages):
         lo = [c + sum(a * t for a, t in zip(coeffs, values)) for c, coeffs in lowers]
         hi = [c + sum(a * t for a, t in zip(coeffs, values)) for c, coeffs in uppers]
-        if lo and hi:
+        if hi:
             values.append((max(lo) + min(hi)) / 2)
-        elif lo:
-            values.append(max(lo) + 1)
-        elif hi:
-            values.append(min(hi) - 1)
         else:
-            values.append(Fraction(0))
+            values.append(max(lo) + 1)
     return values
 
 

@@ -18,7 +18,6 @@ from synchro.core import (
     NotSynchronizing,
     StateSet,
     bits,
-    image_mask,
     union_mask,
 )
 
@@ -505,9 +504,11 @@ def eppstein_orientable_word(d, order=None):
     """Backward search over oriented intervals of an orientable automaton.
 
     From all singletons at once, grow the preimages with single-letter
-    steps; every set encountered must be an interval of the cyclic
-    arrangement the order induces, of which there are (n-1)^2 non-singleton
-    ones, so the result has length at most (n-1)^2.
+    steps. An oriented letter's preimage of an interval of the cyclic
+    arrangement the order induces is an interval, so every set encountered
+    is one (properly_oriented checks each), there are (n-1)^2 non-singleton
+    ones, and the result has length at most (n-1)^2. The search reaches the
+    full set iff d synchronizes, so it decides that too, in polynomial time.
     """
     n = d.n
     if order is None:
@@ -519,28 +520,14 @@ def eppstein_orientable_word(d, order=None):
             f"order is not orientable for this automaton; letter {d.letters[bad[0]]!r} breaks it")
     if n == 1:
         return _finish(d, (), "eppstein")
-    if not is_synchronizing(d):
-        raise NotSynchronizing("automaton is not synchronizing")
-    pos = [0] * n
-    for i, q in enumerate(order):
-        pos[q] = i
-    full = (1 << n) - 1
-
-    def check_arc(mask):
-        pm = image_mask(pos, mask)  # the mask's states as positions in the order
-        if pm == full:
-            return
-        ends = sum(1 for i in range(n) if (pm >> i) & 1 and not (pm >> ((i + 1) % n)) & 1)
-        if ends != 1:
-            raise AssertionError(
-                f"preimage {sorted(bits(mask))} is not an oriented interval")
-
     levels, hit = _backward_search(core.preimage_tables(d), [1 << q for q in range(n)], n - 1)
     for level in levels:
         for mask in level:
-            check_arc(mask)
+            if not properly_oriented([(mask >> q) & 1 for q in order]):
+                raise AssertionError(
+                    f"preimage {sorted(bits(mask))} is not an oriented interval")
     if hit is None:
-        raise AssertionError("no singleton preimage reaches the full set")
+        raise NotSynchronizing("automaton is not synchronizing")
     return _finish(d, _read_down(core.image_tables(d), levels[:-1], hit), "eppstein")
 
 

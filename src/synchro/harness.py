@@ -246,19 +246,14 @@ def census_max_rt(filt, checkpoint=None):
         if shard in done:
             report.absorb(done[shard])
             continue
-        rec = {"shard": shard, "filter": wanted, "classes": 0, "max_rt": -1,
-               "attainers": []}
+        part = CensusReport()
         for d in _representatives(filt, tables, shard):
-            rec["classes"] += 1
             try:
                 rt, _ = engine.exact_reset_threshold(d)
             except NotSynchronizing:
                 rt = -1
-            if rt > rec["max_rt"]:
-                rec["max_rt"] = rt
-                rec["attainers"] = [list(map(list, d.delta))]
-            elif rt == rec["max_rt"]:
-                rec["attainers"].append(list(map(list, d.delta)))
+            part.absorb({"classes": 1, "max_rt": rt, "attainers": [list(map(list, d.delta))]})
+        rec = {"shard": shard, "filter": wanted, **asdict(part)}
         if checkpoint is not None:
             try:
                 with open(checkpoint, "a") as fh:

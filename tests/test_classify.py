@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -148,6 +149,108 @@ class TestPseudoEulerian:
         d = Dfa(1, tuple("abcdefg"), tuple((0,) for _ in range(7)))
         with pytest.raises(CapExceeded):
             classify.pseudo_eulerian_weights(d)
+
+    def test_matches_the_system_with_the_sum_row(self):
+        # every unary and binary table with n <= 4, then seeded tables with
+        # n <= 7 and k <= 6, against a reference that keeps the "weights sum
+        # to 1" row and every back-substitution branch. A table reaches the
+        # solver only through its in-degree matrix, so each distinct matrix
+        # is solved once, on the first table that has it.
+        tables = [(n, delta) for k in (1, 2) for n in range(1, 5)
+                  for delta in itertools.product(itertools.product(range(n), repeat=n),
+                                                 repeat=k)]
+        rng = random.Random(20)
+        for _ in range(6000):
+            n, k = rng.randint(1, 7), rng.randint(1, 6)
+            tables.append((n, tuple(tuple(rng.randrange(n) for _ in range(n))
+                                    for _ in range(k))))
+        firsts = {}
+        for n, delta in tables:
+            indeg = tuple(tuple(sum(row[q] == t for q in range(n)) for row in delta)
+                          for t in range(n))
+            firsts.setdefault(indeg, []).append(delta)
+        found = 0
+        for group in firsts.values():
+            delta = group[0]
+            d = Dfa(len(delta[0]), tuple("abcdef"[:len(delta)]), delta)
+            v = classify.pseudo_eulerian_weights(d)
+            want = reference_weights(d)
+            assert v.status == ("out" if want is None else "in"), delta
+            assert v.witness == (None if want is None else [str(x) for x in want]), delta
+            found += len(group) * (want is not None)
+        assert len(tables) == 72570 and found == 4222
+
+
+def reference_weights(d):
+    """Positive letter weights with unit incoming weight at every state and,
+    as a row of its own, weights summing to 1; None when there are none."""
+    indeg = classify._in_degree_matrix(d)
+    rows = [[Fraction(c) for c in indeg[q]] + [Fraction(1)] for q in range(d.n)]
+    rows.append([Fraction(1)] * d.k + [Fraction(1)])
+    nvars = d.k
+    pivots = []
+    r = 0
+    for c in range(nvars):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    if any(rows[i][nvars] != 0 for i in range(r, len(rows))):
+        return None
+    free = [c for c in range(nvars) if c not in pivots]
+    expr = {c: (rows[idx][nvars], [-rows[idx][f] for f in free])
+            for idx, c in enumerate(pivots)}
+    for j, f in enumerate(free):
+        expr[f] = (Fraction(0), [Fraction(int(i == j)) for i in range(len(free))])
+    assignment = reference_fourier_motzkin([expr[c] for c in range(nvars)], len(free))
+    if assignment is None:
+        return None
+    return [const + sum(a * t for a, t in zip(coeffs, assignment))
+            for const, coeffs in (expr[c] for c in range(nvars))]
+
+
+def reference_fourier_motzkin(ineqs, nfree):
+    """t with const + coeffs . t > 0 for all ineqs, or None; a variable with
+    no lower or no upper bound is set one past the other, or to 0."""
+    if nfree == 0:
+        return [] if all(const > 0 for const, _ in ineqs) else None
+    stages = []
+    for var in range(nfree - 1, -1, -1):
+        lowers, uppers, rest = [], [], []
+        for const, coeffs in ineqs:
+            a = coeffs[var]
+            if a == 0:
+                rest.append((const, coeffs[:var]))
+            else:
+                bound = (-const / a, [-x / a for x in coeffs[:var]])
+                (lowers if a > 0 else uppers).append(bound)
+        stages.append((lowers, uppers))
+        for lc, lcoef in lowers:
+            for uc, ucoef in uppers:
+                rest.append((uc - lc, [u - x for u, x in zip(ucoef, lcoef)]))
+        ineqs = rest
+    if any(const <= 0 for const, _ in ineqs):
+        return None
+    values = []
+    for lowers, uppers in reversed(stages):
+        lo = [c + sum(a * t for a, t in zip(coeffs, values)) for c, coeffs in lowers]
+        hi = [c + sum(a * t for a, t in zip(coeffs, values)) for c, coeffs in uppers]
+        if lo and hi:
+            values.append((max(lo) + min(hi)) / 2)
+        elif lo:
+            values.append(max(lo) + 1)
+        elif hi:
+            values.append(min(hi) - 1)
+        else:
+            values.append(Fraction(0))
+    return values
 
 
 class TestSmallRankAndJunction:

@@ -440,6 +440,100 @@ class TestEppstein:
                        if (mask >> j) & 1 and not (mask >> ((j + 1) % 5)) & 1)
             assert ends == 1
 
+    def test_decides_synchronization_by_its_own_search(self, monkeypatch):
+        def refuse(d):
+            raise RuntimeError("is_synchronizing called")
+
+        monkeypatch.setattr(engine, "is_synchronizing", refuse)
+        unsynchronized = [
+            Dfa(3, ("a",), ((0, 1, 2),)),
+            Dfa(3, ("b",), ((1, 2, 0),)),
+            # {0, 1} -> 0 and {2, 3} -> 2, then a swap of the two halves
+            Dfa(4, ("a", "b"), ((0, 0, 2, 2), (2, 3, 0, 1))),
+        ]
+        for d in unsynchronized:
+            with pytest.raises(NotSynchronizing, match="automaton is not synchronizing"):
+                engine.eppstein_orientable_word(d)
+        assert engine.eppstein_orientable_word(cerny(6)).length == 25
+
+    def test_matches_the_solver_with_a_synchronization_pre_check(self):
+        from synchro import families
+        rng = random.Random(20)
+        cases = []
+        for _ in range(3000):
+            n, k = rng.randint(1, 9), rng.randint(1, 3)
+            cases.append((oriented_dfa(n, k, rng), None))
+        for _ in range(2000):
+            n, k = rng.randint(1, 9), rng.randint(1, 3)
+            order = rng.sample(range(n), n)
+            d = oriented_dfa(n, k, rng)
+            # relabel state i as order[i]: d's cyclic order becomes order
+            delta = [[0] * n for _ in range(k)]
+            for a, row in enumerate(d.delta):
+                for i, t in enumerate(row):
+                    delta[a][order[i]] = order[t]
+            cases.append((Dfa(n, d.letters, tuple(map(tuple, delta))), order))
+        cases += [(cerny(n), None) for n in range(2, 18)]
+        cases += [(families.gen_dnk(n, n - 1).dfa, None) for n in range(3, 18)]
+        outcomes = []
+        for d, order in cases:
+            got = solve_outcome(engine.eppstein_orientable_word, d, order)
+            assert got == solve_outcome(reference_eppstein, d, order), (d.delta, order)
+            outcomes.append(got)
+        failed = [o for o in outcomes if not isinstance(o, engine.SolveResult)]
+        assert all(o == (NotSynchronizing, "automaton is not synchronizing") for o in failed)
+        assert len(failed) > 500
+
+
+def oriented_dfa(n, k, rng):
+    """Letters that preserve the cyclic order 0..n-1: each row is a rotation
+    of a nondecreasing sequence."""
+    rows = []
+    for _ in range(k):
+        seq, r = sorted(rng.randrange(n) for _ in range(n)), rng.randrange(n)
+        rows.append(tuple(seq[r:] + seq[:r]))
+    return Dfa(n, tuple("abc"[:k]), tuple(rows))
+
+
+def solve_outcome(solve, d, order):
+    try:
+        return solve(d, order)
+    except (DomainError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def reference_eppstein(d, order=None):
+    """The interval solver with an is_synchronizing pre-check and an arc test
+    of its own on each mask's positions in the order."""
+    n = d.n
+    order = tuple(range(n)) if order is None else tuple(order)
+    pos = [0] * n
+    for i, q in enumerate(order):
+        pos[q] = i
+    for a in range(d.k):
+        seq = [pos[d.delta[a][q]] for q in order]
+        if sum(seq[i] > seq[(i + 1) % n] for i in range(n)) > 1:
+            raise DomainError("order is not orientable for this automaton; "
+                              f"letter {d.letters[a]!r} breaks it")
+    if n == 1:
+        return engine._finish(d, (), "eppstein")
+    if not engine.is_synchronizing(d):
+        raise NotSynchronizing("automaton is not synchronizing")
+    full = (1 << n) - 1
+    levels, hit = engine._backward_search(core.preimage_tables(d),
+                                          [1 << q for q in range(n)], n - 1)
+    for level in levels:
+        for mask in level:
+            pm = sum(1 << pos[q] for q in range(n) if mask >> q & 1)
+            ends = sum(1 for i in range(n) if pm >> i & 1 and not pm >> (i + 1) % n & 1)
+            if pm != full and ends != 1:
+                raise AssertionError(
+                    f"preimage {sorted(core.bits(mask))} is not an oriented interval")
+    if hit is None:
+        raise AssertionError("no singleton preimage reaches the full set")
+    return engine._finish(d, engine._read_down(core.image_tables(d), levels[:-1], hit),
+                          "eppstein")
+
 
 def elevator(n):
     rows = []

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ import re
 
 import pytest
 
-from synchro import bounds, classify, core, engine, harness
+from synchro import bounds, classify, cli, core, engine, harness
 from synchro.core import CapExceeded, Dfa, DomainError, InputError
 
 
@@ -469,6 +470,25 @@ class TestCensus:
         assert report.attainers == [[[0, 0, 2, 4, 5, 3], [3, 2, 1, 1, 4, 5]]]
         # Kari's bound n^2 - 3n + 3 for Eulerian automata
         assert report.max_rt <= bounds.bound_for_class("eulerian", 6) == 21
+
+    @pytest.mark.parametrize("args,report_sha,checkpoint_sha", [
+        (["--states", "5", "--filter", "eulerian,synchronizing"],
+         "c6b771464272ee0c2a9cf537cdde45d71fa44171140777872d700ddfb8456648",
+         "d3dce0e3603ff1d9af5a43c85bce54ed13da4e73edfcd4edcdcab30c888a68e7"),
+        (["--states", "4", "--filter", "synchronizing"],
+         "68d8360aca32502d3f13e90af67964cd490d18f0701a866f6a2d6be6f2ef9af1",
+         "1be31bb5737c239a669a924657c5cb5f00040fd78b857cbbeb384231f96dd119"),
+        # unfiltered: the non-synchronizing classes count with rt -1
+        (["--states", "4"],
+         "97055000a191bea7141bb5d1cd19adf1ded362976019f828277c17f79ab881b0",
+         "e0e7a45fa592f88e4b369df24e06a399680bf3a1706536a7d96ff724f1af28d5"),
+    ], ids=["eulerian-synchronizing-5", "synchronizing-4", "all-4"])
+    def test_enum_report_and_checkpoint_bytes(self, tmp_path, capsys, args,
+                                              report_sha, checkpoint_sha):
+        ck = tmp_path / "census.jsonl"
+        assert cli.main(["enum", "--letters", "2", *args, "--checkpoint", str(ck)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == report_sha
+        assert hashlib.sha256(ck.read_bytes()).hexdigest() == checkpoint_sha
 
     def test_unreadable_checkpoint_is_an_input_error(self, tmp_path):
         filt = harness.EnumerationFilter(letters=2, states=3)

@@ -89,3 +89,10 @@ def test_no_engine_function_calls_a_capped_solver():
     assert capped
     calls = {name: sorted(c for c in capped - {name} if refs[c]) for name, refs in funcs.items()}
     assert {name: found for name, found in calls.items() if found} == {}
+
+
+def test_engine_steps_masks_through_chunk_tables():
+    # every engine search and solver moves a mask by core's chunk tables
+    # (union_mask), never by the per-bit image or preimage step
+    refs = _references(ast.parse((SRC / "engine.py").read_text()))
+    assert [name for name in ("image_mask", "preimage_mask") if refs[name]] == []

@@ -1,4 +1,6 @@
 import importlib.util
+import itertools
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,24 +28,49 @@ def test_rt_routes_repeats_below_one_exits_2(monkeypatch, capsys, repeats):
     assert "--repeats" in err and "Traceback" not in err
 
 
-def test_bench_pairs_records_name_the_tree(monkeypatch):
+def test_bench_pairs_records_name_the_tree(monkeypatch, tmp_path):
     bench_pairs = load_tool(monkeypatch, "bench_pairs")
-    diff = b""
+    repo = tmp_path / "repo"
+    repo.mkdir()
 
     def git(*args):
-        if args[0] == "rev-parse":
-            return b"abc1234\n"
-        assert args == ("diff", "HEAD", "--binary")
-        return diff
+        return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t",
+                               "-c", "user.email=t@example.org", "-c", "commit.gpgsign=false",
+                               *args], check=True, capture_output=True, text=True).stdout
 
-    monkeypatch.setattr(bench_pairs, "git", git)
-    assert bench_pairs.describe_checkout() == "abc1234"
+    git("init", "-q")
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "x.py").write_text("1\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "x")
+    monkeypatch.setattr(bench_pairs, "ROOT", str(repo))
+    head = bench_pairs.short("HEAD")
+    scratch = itertools.count()
+
+    def tree():
+        tmp = tmp_path / f"index{next(scratch)}"
+        tmp.mkdir()
+        return bench_pairs.write_tree(str(tmp))
+
+    (repo / "__pycache__").mkdir()
+    (repo / "__pycache__" / "x.cpython.pyc").write_bytes(b"\0")
+    assert bench_pairs.describe_checkout(tree()) == head
     records = set()
-    for diff in (b"diff --git a/x b/x\n-1\n+2\n", b"diff --git a/x b/x\n-1\n+3\n"):
-        record = bench_pairs.describe_checkout()
-        assert record.startswith("abc1234 + uncommitted changes")
+    for text in ("2\n", "3\n"):
+        (repo / "x.py").write_text(text)
+        record = bench_pairs.describe_checkout(tree())
+        assert record.startswith(f"{head} + uncommitted changes")
         records.add(record)
     assert len(records) == 2
+    (repo / "x.py").write_text("1\n")
+    (repo / "y.py").write_text("new\n")
+    untracked = tree()
+    assert bench_pairs.describe_checkout(untracked) not in records | {head}
+    into = tmp_path / "export"
+    bench_pairs.export(untracked, str(into))
+    assert sorted(p.name for p in into.iterdir()) == [".gitignore", "x.py", "y.py"]
+    # the checkout's own index is left as it was
+    assert git("status", "--porcelain") == "?? y.py\n"
 
 
 def test_bench_pairs_host_names_the_bytecode_setting(monkeypatch):

@@ -3,11 +3,13 @@
     python3 tools/bench_pairs.py --topic bidir_rt --what "..." --parent 9746fe4 \\
         --runs extremal_rt=5 --runs census=3 --seconds 30 --first-seed 41
 
-Writes BENCH_<topic>.json at the root of this checkout. The parent's
-committed files are exported with ``git archive`` into a temporary
-directory; the change is this checkout as it stands, uncommitted edits
-included, and is recorded as HEAD plus a sha256 prefix of ``git diff
-HEAD --binary`` (which covers tracked files only). For each workload, seeds run from
+Writes BENCH_<topic>.json at the root of this checkout. Both sides are
+exported with ``git archive`` into a temporary directory: the parent's
+committed files, and the change as this checkout stands, written into a
+tree through a throwaway index (``git add -A``, ``git write-tree``), so
+uncommitted edits and untracked files go in and ignored ones such as
+``__pycache__`` stay out. The change is recorded as HEAD when that tree is
+HEAD's, else as HEAD plus the tree's hash. For each workload, seeds run from
 --first-seed up, one pair per seed: both sides run ``perfbench/run.py
 --trace 0`` in their own tree, one after the other and never at once,
 the parent first on odd seeds and the change first on even ones. The
@@ -23,7 +25,6 @@ Exits 2 on bad arguments and 3 when git or a benchmark run fails.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import os
@@ -41,8 +42,8 @@ class Failure(Exception):
     """git or a benchmark run failed; the message says which and why."""
 
 
-def git(*args):
-    out = subprocess.run(["git", "-C", ROOT, *args], capture_output=True)
+def git(*args, env=None):
+    out = subprocess.run(["git", "-C", ROOT, *args], capture_output=True, env=env)
     if out.returncode != 0:
         raise Failure(f"git {' '.join(args)}: {out.stderr.decode().strip()}")
     return out.stdout
@@ -58,14 +59,22 @@ def short(rev):
     return git("rev-parse", "--short", rev).decode().strip()
 
 
-def describe_checkout():
-    """HEAD's short hash, plus a hash of the uncommitted diff if there is one,
-    so that two records of different trees never read the same."""
+def write_tree(tmp):
+    """The hash of a tree holding the checkout as it stands, ignored files
+    left out. The index is a throwaway file in tmp, so the checkout's own
+    index is left as it is."""
+    env = {**os.environ, "GIT_INDEX_FILE": os.path.join(tmp, "index")}
+    git("add", "-A", env=env)
+    return git("write-tree", env=env).decode().strip()
+
+
+def describe_checkout(tree):
+    """HEAD's short hash, plus the tree's hash if the tree is not HEAD's, so
+    that two records of different trees never read the same."""
     head = short("HEAD")
-    diff = git("diff", "HEAD", "--binary")
-    if not diff:
+    if tree == git("rev-parse", "HEAD^{tree}").decode().strip():
         return head
-    return f"{head} + uncommitted changes (diff sha256 {hashlib.sha256(diff).hexdigest()[:12]})"
+    return f"{head} + uncommitted changes (tree {tree[:12]})"
 
 
 def describe_host():
@@ -162,10 +171,12 @@ def main(argv=None):
     runs = []
     try:
         parent = short(args.parent)
-        change = describe_checkout()
         with tempfile.TemporaryDirectory() as tmp:
-            trees = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
+            tree = write_tree(tmp)
+            change = describe_checkout(tree)
+            trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
             export(args.parent, trees["parent"])
+            export(tree, trees["change"])
             for workload, pairs in plan:
                 for seed in range(args.first_seed, args.first_seed + pairs):
                     order = ("parent", "change") if seed % 2 else ("change", "parent")
