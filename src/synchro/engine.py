@@ -259,10 +259,12 @@ def _meet_search(d):
     The word is the least word of the first mask of F_i that fits B_j
     (_read_word), followed, for r = j-1, ..., 0, by the least letter whose
     image fits B_r (_read_down; a fit at a shallower level would mean a
-    shorter reset word). A frontier
-    that empties before the sides meet means d is not synchronizing, which
-    the caller rules out first: it raises AssertionError. The preimage
-    tables are built on the first backward step.
+    shorter reset word), and is re-run by _finish. The search decides
+    synchronization too: a frontier that empties before the sides meet
+    raises NotSynchronizing. Were rt finite, an empty F_(i+1) would mean
+    every image of Q has a shortest word of length <= i < rt, so none is a
+    singleton; an empty B_(j+1), that Q, a preimage of a singleton at depth
+    rt > j, was never reached. Preimage tables wait for a backward step.
     """
     n = d.n
     tabs, pre = core.image_tables(d), None
@@ -272,8 +274,7 @@ def _meet_search(d):
     fits = _is_singleton    # what fits B_0, images being nonempty
     hit = _first_fit(fwd[0], fits)
     while hit is None:
-        forward = len(fwd[-1]) <= len(back[-1])
-        if forward:
+        if len(fwd[-1]) <= len(back[-1]):
             level, hit = _step_forward(tabs, fwd[-1], fseen, fits)
             fwd.append(level)
         else:
@@ -283,9 +284,9 @@ def _meet_search(d):
             fits = _fit_test(level, n)
             hit = _first_fit(fwd[-1], fits)
         if not level:
-            side = "forward" if forward else "backward"
-            raise AssertionError(f"the {side} frontier emptied before the two sides met")
-    return _read_word(tabs, fwd, hit) + _read_down(tabs, back[:-1], hit)
+            raise NotSynchronizing("automaton is not synchronizing")
+    word = _read_word(tabs, fwd, hit) + _read_down(tabs, back[:-1], hit)
+    return _finish(d, word, "bfs").word
 
 
 def _step_forward(tabs, level, seen, fits):
@@ -385,13 +386,13 @@ def _backward_search(pre, starts, above):
 def exact_reset_threshold(d, cap=core.SUBSET_BFS_CAP):
     """The reset threshold and the lexicographically least shortest reset word.
 
-    A bidirectional subset search (_meet_search): images of the full set
-    forward, preimages of the singletons backward, until the two meet.
+    The checked front door of the kernel _meet_search, whose own verdict
+    costs a subset search: the pair pre-check refuses a d that cannot reset.
     """
     _check_subset_cap(d.n, cap)
     if not is_synchronizing(d):
         raise NotSynchronizing("automaton is not synchronizing")
-    word = _finish(d, _meet_search(d), "bfs").word
+    word = _meet_search(d)
     return len(word), word
 
 

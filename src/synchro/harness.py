@@ -249,7 +249,7 @@ def census_max_rt(filt, checkpoint=None):
         part = CensusReport()
         for d in _representatives(filt, tables, shard):
             try:
-                rt, _ = engine.exact_reset_threshold(d)
+                rt = len(engine._meet_search(d))
             except NotSynchronizing:
                 rt = -1
             part.absorb({"classes": 1, "max_rt": rt, "attainers": [list(map(list, d.delta))]})
@@ -464,11 +464,9 @@ def crit_cerny_formula(max_n):
     for n in range(2, min(10, max_n) + 1):
         count += 1
         inst = families.gen_cerny(n)
-        rt, word = engine.exact_reset_threshold(inst.dfa)
+        rt = len(engine._meet_search(inst.dfa))
         if rt != (n - 1) ** 2:
             msgs.append(f"n={n}: threshold {rt} != (n-1)^2")
-        if len(word) != (n - 1) ** 2:
-            msgs.append(f"n={n}: witness length {len(word)}")
         w = inst.notes["witness_word"]
         if len(core.image(inst.dfa, StateSet.full(n), w)) != 1:
             msgs.append(f"n={n}: recorded witness word does not reset")
@@ -480,7 +478,7 @@ def crit_dnk_formula(max_n):
     pairs = [(n, k) for n, k in [(5, 3), (7, 4), (8, 5), (9, 5), (10, 7)] if n <= max_n]
     for n, k in pairs:
         inst = families.gen_dnk(n, k)
-        rt, _ = engine.exact_reset_threshold(inst.dfa)
+        rt = len(engine._meet_search(inst.dfa))
         if rt != k * (n - 2) + 2:
             msgs.append(f"(n,k)=({n},{k}): threshold {rt} != {k * (n - 2) + 2}")
         w = inst.notes["witness_word"]
@@ -509,7 +507,7 @@ def crit_unbounded_alphabet_families(max_n):
     for n in range(3, min(7, max_n) + 1):
         for maker in (families.gen_rystsov, families.gen_v):
             inst = maker(n)
-            rt, _ = engine.exact_reset_threshold(inst.dfa)
+            rt = len(engine._meet_search(inst.dfa))
             if rt != n * (n - 1) // 2:
                 msgs.append(f"{inst.family} n={n}: {rt} != n(n-1)/2")
     return not msgs, "; ".join(msgs) or "both series checked"
@@ -521,7 +519,7 @@ def crit_linear_families(max_n):
         for maker in (families.gen_chain, families.gen_two_idempotent,
                       families.gen_elevator):
             inst = maker(n)
-            rt, _ = engine.exact_reset_threshold(inst.dfa)
+            rt = len(engine._meet_search(inst.dfa))
             if rt != n - 1:
                 msgs.append(f"{inst.family} n={n}: {rt} != n-1")
     return not msgs, "; ".join(msgs) or "three series checked"
@@ -534,7 +532,7 @@ def crit_solver_bounds_random(max_n, samples=500):
     for i in range(samples):
         n = 2 + (i % (top - 1))
         d = random_synchronizing(n, 2, seed=1000 + i)
-        rt, _ = engine.exact_reset_threshold(d)
+        rt = len(engine._meet_search(d))
         g = engine.greedy_compression_word(d)
         if not rt <= g.length <= (n ** 3 - n) // 6:
             msgs.append(f"greedy bound broken on seed {1000 + i}")
@@ -579,7 +577,7 @@ def crit_c7_solver(max_n, samples=120):
     for n in range(2, min(9, max_n) + 1):
         d = families.gen_elevator(n).dfa
         res = engine.c7_height_word(d)
-        rt, _ = engine.exact_reset_threshold(d)
+        rt = len(engine._meet_search(d))
         if not res.length == n - 1 == rt:
             msgs.append(f"elevator n={n}: {res.length} vs exact {rt}")
     top = min(9, max_n)
@@ -588,7 +586,7 @@ def crit_c7_solver(max_n, samples=120):
         k = n - 1 + (i % 2)
         d = random_all_simple_idempotent(n, k, seed=3000 + i)
         res = engine.c7_height_word(d)
-        rt, _ = engine.exact_reset_threshold(d)
+        rt = len(engine._meet_search(d))
         if not res.length == n - 1 == rt:
             msgs.append(f"seed {3000 + i}: {res.length} vs exact {rt}")
             break
@@ -600,7 +598,7 @@ def crit_eppstein(max_n):
     for n in range(3, min(8, max_n) + 1):
         d = families.gen_cerny(n).dfa
         res = engine.eppstein_orientable_word(d)
-        rt, _ = engine.exact_reset_threshold(d)
+        rt = len(engine._meet_search(d))
         if res.length > (n - 1) ** 2 or res.length < rt:
             msgs.append(f"n={n}: produced {res.length}, exact {rt}")
         # re-walk the suffix preimages; each must be an arc of the cycle order
@@ -726,10 +724,10 @@ def crit_bound_registry(max_n):
             if bounds.bound_for_class(entry.id, n, **params) < (n - 1) ** 2:
                 msgs.append(f"{entry.id} at n={n} dips below the square")
     for n in range(3, min(7, max_n) + 1):
-        rt, _ = engine.exact_reset_threshold(families.gen_rystsov(n).dfa)
+        rt = len(engine._meet_search(families.gen_rystsov(n).dfa))
         if rt > bounds.bound_for_class("b1", n):
             msgs.append(f"b1 bound misses its own family at n={n}")
-        rt, _ = engine.exact_reset_threshold(families.gen_chain(n).dfa)
+        rt = len(engine._meet_search(families.gen_chain(n).dfa))
         if rt > bounds.bound_for_class("c1", n):
             msgs.append(f"c1 bound misses its own family at n={n}")
     return not msgs, "; ".join(msgs) or "registry checks hold"

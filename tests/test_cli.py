@@ -114,6 +114,16 @@ class TestSolveAndRt:
         assert code == 0 and err == ""
         assert json.loads(out)["method"] == "a10"
 
+    @pytest.mark.parametrize("argv", [
+        ("rt",), *(("solve", "--method", method)
+                   for method in ("bfs", "greedy", "extension", "a10"))])
+    def test_not_synchronizing_exits_2(self, capsys, tmp_path, argv):
+        # b is a 4-cycle and a merges only states 0 and 2, two steps apart
+        path = tmp_path / "d.json"
+        core.save_dfa(core.Dfa(4, ("a", "b"), ((2, 1, 2, 3), (1, 2, 3, 0))), path)
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (2, "", "error: automaton is not synchronizing\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "rt", "/nonexistent.json")
         assert code == 2

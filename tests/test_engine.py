@@ -224,10 +224,24 @@ class TestExactResetThreshold:
 
     @pytest.mark.parametrize("word", [(), (0,), (1, 0, 1)])
     def test_word_is_rerun(self, monkeypatch, word):
-        # a search that returned a non-reset word would be a bug, not an answer
-        monkeypatch.setattr(engine, "_meet_search", lambda d: word)
+        # a search that read a non-reset word would be a bug, not an answer
+        monkeypatch.setattr(engine, "_read_word", lambda tabs, levels, m: word)
+        monkeypatch.setattr(engine, "_read_down", lambda tabs, levels, m: ())
         with pytest.raises(AssertionError, match="non-reset word"):
             engine.exact_reset_threshold(cerny(4))
+
+    def test_door_refuses_before_any_subset_search(self, monkeypatch):
+        # a 64-state synchronizing table plus an isolated fixed state: the
+        # kernel alone would decide it only by a full subset search
+        from synchro import harness
+        d = with_isolated_state(harness.random_synchronizing(64, 2, 1))
+
+        def kernel(d):
+            raise RuntimeError("the kernel ran")
+
+        monkeypatch.setattr(engine, "_meet_search", kernel)
+        with pytest.raises(NotSynchronizing):
+            engine.exact_reset_threshold(d, cap=65)
 
     def test_cap(self):
         d = Dfa(3, ("a",), ((0, 0, 1),))
@@ -1135,6 +1149,20 @@ def meet_sides(monkeypatch, d):
     return word, "".join(sides)
 
 
+# non-synchronizing automata whose forward (resp. backward) frontier empties
+# first in _meet_search
+EMPTYING_FRONTIERS = (
+    (Dfa(2, ("a", "b"), ((0, 1), (1, 0))), "forward"),
+    (Dfa(6, ("a", "b", "c"),
+         ((0, 1, 0, 3, 2, 4), (0, 1, 5, 5, 2, 3), (0, 1, 0, 0, 4, 5))), "backward"),
+)
+
+
+def with_isolated_state(d):
+    """d plus one state that every letter fixes and no other state reaches."""
+    return Dfa(d.n + 1, d.letters, tuple(row + (d.n,) for row in d.delta))
+
+
 class TestMeetSearch:
     def test_every_family_instance_up_to_16_states(self):
         dfas = list(family_instances(16))
@@ -1213,13 +1241,50 @@ class TestMeetSearch:
         assert sides.count("f") > 10 and sides.count("b") > 10
         assert (len(word), word) == one_way_threshold(d) == (45, word)
 
-    def test_frontier_that_empties_raises(self):
-        # neither automaton synchronizes; states 0 and 1 of the second are
-        # both fixed by every letter
-        forward = Dfa(2, ("a", "b"), ((0, 1), (1, 0)))
-        backward = Dfa(6, ("a", "b", "c"),
-                       ((0, 1, 0, 3, 2, 4), (0, 1, 5, 5, 2, 3), (0, 1, 0, 0, 4, 5)))
-        for d, side in ((forward, "forward"), (backward, "backward")):
+    def test_frontier_that_empties_raises(self, monkeypatch):
+        # states 0 and 1 of the second automaton are both fixed by every
+        # letter. The last level stepped is the empty one.
+        for d, side in EMPTYING_FRONTIERS:
             assert not engine.is_synchronizing(d)
-            with pytest.raises(AssertionError, match=f"the {side} frontier emptied"):
+            stepped = []
+            with monkeypatch.context() as patch:
+                for name in ("_step_forward", "_step_backward"):
+                    real = getattr(engine, name)
+
+                    def spy(*args, real=real, name=name):
+                        out = real(*args)
+                        stepped.append((name, out[0] if isinstance(out, tuple) else out))
+                        return out
+
+                    patch.setattr(engine, name, spy)
+                with pytest.raises(NotSynchronizing, match="automaton is not synchronizing"):
+                    engine._meet_search(d)
+            assert stepped[-1] == (f"_step_{side}", [])
+
+
+def refuse_pair_test(d):
+    raise RuntimeError("is_synchronizing ran")
+
+
+class TestKernelDecidesSynchronization:
+    # the kernel answers without the pair test that the front door runs first
+    def test_emptied_frontiers(self, monkeypatch):
+        monkeypatch.setattr(engine, "is_synchronizing", refuse_pair_test)
+        for d, _ in EMPTYING_FRONTIERS:
+            with pytest.raises(NotSynchronizing, match="automaton is not synchronizing"):
                 engine._meet_search(d)
+
+    def test_isolated_fixed_state(self, monkeypatch):
+        from synchro import harness
+        d = with_isolated_state(harness.random_synchronizing(16, 2, 0))
+        monkeypatch.setattr(engine, "is_synchronizing", refuse_pair_test)
+        with pytest.raises(NotSynchronizing):
+            engine._meet_search(d)
+
+    def test_family_words(self, monkeypatch):
+        # the same word, or NotSynchronizing from both
+        dfas = list(family_instances(12))
+        want = [outcome(lambda d: engine.exact_reset_threshold(d)[1], d) for d in dfas]
+        monkeypatch.setattr(engine, "is_synchronizing", refuse_pair_test)
+        assert [outcome(engine._meet_search, d) for d in dfas] == want
+        assert NotSynchronizing in want

@@ -461,6 +461,17 @@ class TestCensus:
         harness.census_max_rt(filt)
         assert calls == [filt]
 
+    def test_one_pair_search_per_candidate(self, monkeypatch):
+        # the filter's synchronization test is the only one: the threshold
+        # search behind each class does not test again
+        calls = []
+        merge = engine._merge_levels
+        monkeypatch.setattr(engine, "_merge_levels", lambda d: calls.append(d) or merge(d))
+        report = harness.census_max_rt(harness.EnumerationFilter(
+            letters=2, states=5, eulerian=True, synchronizing=True))
+        assert len(calls) == 435
+        assert (report.max_rt, report.classes, len(report.attainers)) == (10, 379, 1)
+
     def test_six_state_eulerian_census(self):
         filt = harness.EnumerationFilter(letters=2, states=6, eulerian=True,
                                          synchronizing=True)

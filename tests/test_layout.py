@@ -96,3 +96,11 @@ def test_engine_steps_masks_through_chunk_tables():
     # (union_mask), never by the per-bit image or preimage step
     refs = _references(ast.parse((SRC / "engine.py").read_text()))
     assert [name for name in ("image_mask", "preimage_mask") if refs[name]] == []
+
+
+def test_harness_calls_the_threshold_kernel():
+    # the harness hands only decided automata (filtered census classes,
+    # sampler draws, families synchronizing by construction) to the exact
+    # search, so it calls the kernel, not the front door's pair pre-check
+    refs = _references(ast.parse((SRC / "harness.py").read_text()))
+    assert refs["_meet_search"] and not refs["exact_reset_threshold"]
