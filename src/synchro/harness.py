@@ -18,7 +18,13 @@ The completely reachable sampler first asks whether every (n-1)-subset is an
 image of Q, a necessary condition: a word reaching one starts, after
 permutation letters, with a letter of rank n-1, and every later letter is
 injective on the current (n-1)-set, so a reach over "Q minus p" vertices
-decides it without building the automaton.
+decides it without building the automaton. For a binary table with n >= 3
+that reach needs one permutation letter and one of rank n-1, so the two row
+ranks sum to 2n-1: two letters that are not permutations reach only Q and
+Q minus the state each of rank n-1 misses, 3 < n+1 vertices, and a
+permutation beside a letter of rank below n-1 leaves Q with no edge. The
+sampler screens whole batches of draws by that sum before it builds any
+table.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import struct
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from operator import rshift
+from operator import add, rshift
 
 from synchro import bounds, classify, core, engine, families, monoid
 from synchro.core import CapExceeded, Dfa, DomainError, InputError, NotSynchronizing, StateSet
@@ -42,6 +48,9 @@ ENUM_LETTER_CAP = 2
 SAMPLER_TRIES = 100000   # rejection-sampling attempts per random_* call
 # _TOP_BITS[b] maps a byte to its top b bits, for the table samplers
 _TOP_BITS = [bytes(x >> (8 - b) for x in range(256)) for b in range(9)]
+# a state v < 8 as the byte 1 << v, and the bits set in a byte, for _row_ranks
+_ONE_HOT = bytes(1 << v for v in range(8)) + bytes(248)
+_POPCOUNT = bytes(bin(x).count("1") for x in range(256))
 
 
 @dataclass(frozen=True)
@@ -266,9 +275,10 @@ def census_max_rt(filt, checkpoint=None):
 
 # -- random instance sources ---------------------------------------------------
 
-def _random_tables(rng, n, k):
-    """Endless k-row tables over range(n) whose entries, in row-major order,
-    are exactly the values successive rng.randrange(n) calls would return.
+def _random_batches(rng, n, k):
+    """Endless batches of whole k-row tables over range(n), flat in row-major
+    order (bytes for n < 256, else a list), whose entries are exactly the
+    values successive rng.randrange(n) calls would return.
 
     randrange(n) keeps the top n.bit_length() bits of one 32-bit word and
     draws again while they reach n; this rejects whole batches of words at
@@ -297,11 +307,59 @@ def _random_tables(rng, n, k):
             words = struct.unpack(f"<{batch}I", raw)
             pending += filter(n.__gt__, map(rshift, words, itertools.repeat(32 - bits)))
         used = len(pending) - len(pending) % size
-        rows = zip(*[iter(pending[:used])] * n)
-        yield from zip(*[rows] * k)
+        yield pending[:used]
         pending = pending[used:]
         if batch < 4096:
             batch *= 2
+
+
+def _random_tables(rng, n, k):
+    """Endless k-row tables over range(n), the tables of _random_batches in
+    turn: row-major, their entries are successive rng.randrange(n) values."""
+    for entries in _random_batches(rng, n, k):
+        rows = zip(*[iter(entries)] * n)
+        yield from zip(*[rows] * k)
+
+
+def _row_ranks(entries, n):
+    """len(set(row)) for each successive n-entry row of entries, as bytes
+    for n <= 8 (entries then bytes): each state v becomes the byte 1 << v,
+    n - 1 shift-ORs by whole bytes leave each row's image mask in its first
+    byte, and _POPCOUNT counts its bits. Larger n builds the sets."""
+    if n > 8:
+        return list(map(len, map(set, zip(*[iter(entries)] * n))))
+    masks = int.from_bytes(entries.translate(_ONE_HOT), "little")
+    folded = masks
+    for j in range(1, n):
+        folded |= masks >> (8 * j)
+    return folded.to_bytes(len(entries), "little")[::n].translate(_POPCOUNT)
+
+
+def _rank_screen(entries, n):
+    """One byte per binary table of entries (flat, 2n entries a table): 1 if
+    its two row ranks sum to 2n-1, else 0. For n >= 3 every table with each
+    (n-1)-subset an image of Q has the byte 1 (module docstring)."""
+    ranks = _row_ranks(entries, n)
+    return bytes(map((2 * n - 1).__eq__, map(add, ranks[::2], ranks[1::2])))
+
+
+def _rank_screened_binary(rng, n):
+    """The binary tables among the first SAMPLER_TRIES of
+    _random_tables(rng, n, 2) that pass _rank_screen, in draw order; every
+    table when n < 3."""
+    size = 2 * n
+    tries = SAMPLER_TRIES
+    for entries in _random_batches(rng, n, 2):
+        count = min(len(entries) // size, tries)
+        tries -= count
+        hits = b"\1" * count if n < 3 else _rank_screen(entries[:count * size], n)
+        i = hits.find(1)
+        while i >= 0:
+            start = i * size
+            yield tuple(entries[start:start + n]), tuple(entries[start + n:start + size])
+            i = hits.find(1, i + 1)
+        if not tries:
+            return
 
 
 def random_synchronizing(n, k, seed):
@@ -360,6 +418,8 @@ def random_all_simple_idempotent(n, k, seed):
 def random_eulerian_binary(n, seed):
     """Binary Eulerian synchronizing instance: letter b's in-degree profile
     complements letter a's."""
+    if n < 1:
+        raise InputError(f"tables need n >= 1, got n={n}")
     rng = random.Random(seed)
     for _ in range(SAMPLER_TRIES):
         arow = tuple(rng.randrange(n) for _ in range(n))
@@ -406,10 +466,10 @@ def _reaches_every_corank_one_set(n, delta):
 
 
 def random_completely_reachable_binary(n, seed):
-    """Binary completely reachable instance; draws failing the (n-1)-subset
-    pre-filter are skipped before the full check, so the stream and the
-    accepted table are those of the full check alone."""
-    for delta in itertools.islice(_random_tables(random.Random(seed), n, 2), SAMPLER_TRIES):
+    """Binary completely reachable instance; draws failing the row-rank
+    screen or the (n-1)-subset pre-filter are skipped before the full check,
+    so the stream and the accepted table are those of the full check alone."""
+    for delta in _rank_screened_binary(random.Random(seed), n):
         if not _reaches_every_corank_one_set(n, delta):
             continue
         d = Dfa(n, ("a", "b"), delta)

@@ -169,6 +169,59 @@ class TestCorankOnePrefilter:
                 assert got.delta == reference_completely_reachable_binary(n, seed).delta
 
 
+class TestRankScreen:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_row_ranks_are_the_image_sizes(self, n):
+        rng = random.Random(n)
+        batches = itertools.islice(harness._random_batches(random.Random(n), n, 2), 6)
+        # permutation-heavy rows beside the uniform draws
+        mixed = bytes(t for _ in range(300) for t in mixed_letter(rng, n))
+        for entries in [*batches, mixed]:
+            rows = [tuple(entries[i:i + n]) for i in range(0, len(entries), n)]
+            assert list(harness._row_ranks(entries, n)) == [len(set(r)) for r in rows]
+
+    def check_screen(self, n, tables):
+        """Each table passing the (n-1)-subset reach has row ranks {n-1, n},
+        and the screen keeps exactly the tables with those ranks."""
+        hits = harness._rank_screen(bytes(t for delta in tables for row in delta
+                                          for t in row), n)
+        assert len(hits) == len(tables)
+        passed = 0
+        for delta, hit in zip(tables, hits):
+            ranks = sorted(len(set(row)) for row in delta)
+            if harness._reaches_every_corank_one_set(n, delta):
+                passed += 1
+                assert ranks == [n - 1, n], delta
+            assert hit == (ranks == [n - 1, n]), delta
+        return passed
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_screen_keeps_every_table_the_reach_passes(self, n):
+        rows = list(itertools.product(range(n), repeat=n))
+        assert self.check_screen(n, list(itertools.product(rows, repeat=2))) > 0
+
+    def test_screen_keeps_the_seeded_tables_the_reach_passes(self):
+        rng = random.Random(72)
+        for n in range(3, 9):
+            tables = [(mixed_letter(rng, n), mixed_letter(rng, n)) for _ in range(600)]
+            assert self.check_screen(n, tables) > 5, n
+
+    @pytest.mark.parametrize("tries", [1, 2, 3, 7, 50, 130, 2000])
+    def test_sampler_stops_at_the_cap(self, monkeypatch, tries):
+        """The cap falls inside a batch: draws past it are never tested."""
+        def outcome(sample, *args):
+            try:
+                return sample(*args).delta
+            except CapExceeded:
+                return None
+        monkeypatch.setattr(harness, "SAMPLER_TRIES", tries)
+        for n in range(1, 13):
+            for seed in range(3):
+                want = outcome(reference_sampler, n, 2, seed, is_completely_reachable_instance)
+                got = outcome(harness.random_completely_reachable_binary, n, seed)
+                assert got == want, (n, seed)
+
+
 def inverse(sigma):
     inv = [0] * len(sigma)
     for q, s in enumerate(sigma):
@@ -544,6 +597,11 @@ class TestRandomSources:
         d = harness.random_eulerian_binary(6, seed=11)
         assert classify.is_eulerian(d).status == "in"
         assert engine.is_synchronizing(d)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_eulerian_source_below_one_state_is_an_input_error(self, n):
+        with pytest.raises(InputError):
+            harness.random_eulerian_binary(n, seed=11)
 
     def test_one_cluster_source_is_strongly_connected(self):
         d = harness.random_one_cluster_binary(6, seed=11)
