@@ -155,4 +155,6 @@ def bound_for_class(class_id, n, **params):
     extra = set(params) - set(entry.params)
     if extra:
         raise DomainError(f"bound {cid!r} does not take {sorted(extra)}")
+    if "d" in params and not 0 <= params["d"] <= n:
+        raise DomainError(f"bound {cid!r} needs a degree 0 <= d <= n, got d={params['d']}")
     return entry.fn(n, **params)

@@ -481,13 +481,13 @@ def dfa_to_dot(d):
     for a, row in enumerate(d.delta):
         for q, t in enumerate(row):
             by_pair.setdefault((q, t), []).append(d.letters[a])
-    lines = ["digraph \"%s\" {" % (d.name or "dfa"), "  rankdir=LR;",
+    quote = str.maketrans({"\\": "\\\\", '"': '\\"'})   # escaped inside a quoted ID
+    lines = ['digraph "%s" {' % (d.name or "dfa").translate(quote), "  rankdir=LR;",
              "  node [shape=circle];"]
     for q in range(d.n):
         lines.append(f"  {q};")
     for (q, t), names in sorted(by_pair.items()):
-        label = ",".join(names)
-        lines.append(f'  {q} -> {t} [label="{label}"];')
+        lines.append('  %d -> %d [label="%s"];' % (q, t, ",".join(names).translate(quote)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -36,7 +36,7 @@ import math
 import random
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from operator import add, rshift
 
@@ -88,9 +88,10 @@ def _passes(filt, d):
         return False
     if filt.synchronizing and not engine.is_synchronizing(d):
         return False
-    if filt.aperiodic and monoid.is_aperiodic(monoid.transition_monoid(d)).status != "in":
-        return False
-    return True
+    # a letter on a cycle of length > 1 is itself an element that breaks aperiodicity
+    return not filt.aperiodic or (
+        all(len(c) == 1 for row in d.delta for c in core.cycles_of(row))
+        and monoid.is_aperiodic(monoid.transition_monoid(d)).status == "in")
 
 
 def _letter_rows(filt, n):
@@ -178,13 +179,9 @@ def _representatives(filt, tables, shard):
                 yield d
 
 
-def enumerate_automata(filt, shard=None):
-    """One canonical representative per isomorphism class passing the filter.
-
-    shard, when given, restricts the scan to tables whose first letter sends
-    state 0 to that value; the union over shards 0..n-1 is the full census.
-    """
-    yield from _representatives(filt, _row_tables(filt), shard)
+def enumerate_automata(filt):
+    """One canonical representative per isomorphism class passing the filter."""
+    yield from _representatives(filt, _row_tables(filt), None)
 
 
 @dataclass
@@ -247,22 +244,23 @@ def census_max_rt(filt, checkpoint=None):
     record written for another filter, from a malformed record, or from a
     file that cannot be read raises InputError.
     """
-    wanted = asdict(filt)
     done = {} if checkpoint is None else _load_checkpoint(checkpoint, filt)
     report = CensusReport()
-    tables = _row_tables(filt)
+    tables, scan = _row_tables(filt), replace(filt, synchronizing=False)
     for shard in range(filt.states):
         if shard in done:
             report.absorb(done[shard])
             continue
         part = CensusReport()
-        for d in _representatives(filt, tables, shard):
+        for d in _representatives(scan, tables, shard):
             try:
                 rt = len(engine._meet_search(d))
             except NotSynchronizing:
+                if filt.synchronizing:
+                    continue   # the kernel is the census's synchronization test
                 rt = -1
             part.absorb({"classes": 1, "max_rt": rt, "attainers": [list(map(list, d.delta))]})
-        rec = {"shard": shard, "filter": wanted, **asdict(part)}
+        rec = {"shard": shard, "filter": asdict(filt), **asdict(part)}
         if checkpoint is not None:
             try:
                 with open(checkpoint, "a") as fh:

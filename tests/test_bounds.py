@@ -28,6 +28,15 @@ class TestRegistryValues:
         with pytest.raises(DomainError):
             bounds.bound_for_class("d3", 5)
 
+    @pytest.mark.parametrize("cid", ["d1q", "d3", "quasi_one_cluster", "quasi_eulerian"])
+    def test_degree_lies_in_zero_to_n(self, cid):
+        # d = 0 and d = n are degrees; below 0 or above n the formula is no bound
+        assert bounds.bound_for_class(cid, 5, d=0) > 0
+        assert bounds.bound_for_class(cid, 5, d=5) > 0
+        for d in (-1, 6, 100):
+            with pytest.raises(DomainError, match="degree"):
+                bounds.bound_for_class(cid, 5, d=d)
+
     def test_b4_branches(self):
         # sigma=2, n=16: r = 4, cubic branch
         assert bounds.bound_for_class("b4", 16, sigma=2) == 2 + Fraction(19 * 60, 6)

@@ -229,6 +229,17 @@ class TestClassifyMonoidBound:
         code, _, err = run(capsys, "bound", "--class", "zz", "--n", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("cls,d", [("d3", "100"), ("d1q", "-1"), ("d3", "6")])
+    def test_bound_degree_out_of_range_exits_2(self, capsys, cls, d):
+        code, out, err = run(capsys, "bound", "--class", cls, "--n", "5", "--d", d)
+        assert code == 2 and out == ""
+        assert "degree" in err
+
+    def test_bound_degree_n_is_valid(self, capsys):
+        code, out, _ = run(capsys, "bound", "--class", "d1q", "--n", "5", "--d", "5")
+        assert code == 0
+        assert json.loads(out)["value"] == "96"   # 2^5 * 1 * 3
+
 
 class TestVerifyAndEnum:
     def test_verify_quick_small(self, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -373,3 +374,14 @@ class TestDot:
         d = cerny(3)
         dot = core.dfa_to_dot(d)
         assert dot.count("->") == len({(q, row[q]) for row in d.delta for q in range(3)})
+
+    def test_quotes_and_backslashes_are_escaped(self):
+        # every quoted ID closes where it should and unescapes to the name
+        d = core.dfa_from_json({"name": 'x"y\\', "n": 2, "letters": ["a", 'b\\', '"'],
+                                "delta": {"a": [0, 0], 'b\\': [1, 1], '"': [0, 1]}})
+        dot = core.dfa_to_dot(d)
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        for line in dot.splitlines():
+            assert quoted.sub("", line).count('"') == 0, line
+        ids = [re.sub(r"\\(.)", r"\1", m) for m in quoted.findall(dot)]
+        assert ids == ['x"y\\', 'a,"', 'b\\', "a", 'b\\,"']

@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from synchro import bounds, classify, cli, core, engine, harness
+from synchro import bounds, classify, cli, core, engine, harness, monoid
 from synchro.core import CapExceeded, Dfa, DomainError, InputError
 
 
@@ -300,6 +300,7 @@ FILTERS = {
     "eulerian": lambda d: classify.is_eulerian(d).status == "in",
     "strongly_connected": core.is_strongly_connected,
     "synchronizing": engine.is_synchronizing,
+    "aperiodic": lambda d: monoid.is_aperiodic(monoid.transition_monoid(d)).status == "in",
 }
 
 
@@ -329,8 +330,9 @@ class TestEnumerationOrder:
         reference = [delta for delta in canonical_sorted_tables(states, letters)
                      if keep(Dfa(states, names, delta))]
         assert [d.delta for d in harness.enumerate_automata(filt)] == reference
+        tables = harness._row_tables(filt)
         for shard in range(states):
-            part = [d.delta for d in harness.enumerate_automata(filt, shard=shard)]
+            part = [d.delta for d in harness._representatives(filt, tables, shard)]
             assert part == [delta for delta in reference if delta[0][0] == shard]
 
 
@@ -409,9 +411,9 @@ class TestEnumeration:
     def test_shards_partition_the_census(self):
         filt = harness.EnumerationFilter(letters=2, states=3, synchronizing=True)
         whole = {d.delta for d in harness.enumerate_automata(filt)}
-        sharded = set()
+        sharded, tables = set(), harness._row_tables(filt)
         for shard in range(3):
-            part = {d.delta for d in harness.enumerate_automata(filt, shard=shard)}
+            part = {d.delta for d in harness._representatives(filt, tables, shard)}
             assert not part & sharded
             sharded |= part
         assert sharded == whole
@@ -427,7 +429,8 @@ class TestEnumeration:
         # on are empty and shards 0 and 1 are the census in order
         flags = {} if names == "none" else dict.fromkeys(names.split(","), True)
         filt = harness.EnumerationFilter(letters=2, states=n, **flags)
-        parts = [[d.delta for d in harness.enumerate_automata(filt, shard=s)]
+        tables = harness._row_tables(filt)
+        parts = [[d.delta for d in harness._representatives(filt, tables, s)]
                  for s in range(n)]
         whole = [d.delta for d in harness.enumerate_automata(filt)]
         assert whole == parts[0] + (parts[1] if n > 1 else [])
@@ -451,10 +454,11 @@ class TestCensus:
         base = harness.census_max_rt(filt)
         ck = tmp_path / "census.jsonl"
         # simulate an interrupted run: process only shards 0 and 1
+        tables = harness._row_tables(filt)
         for shard in range(2):
             rec = {"shard": shard, "filter": dataclasses.asdict(filt), "classes": 0,
                    "max_rt": -1, "attainers": []}
-            for d in harness.enumerate_automata(filt, shard=shard):
+            for d in harness._representatives(filt, tables, shard):
                 rt, _ = engine.exact_reset_threshold(d)
                 rec["classes"] += 1
                 if rt > rec["max_rt"]:
@@ -514,16 +518,43 @@ class TestCensus:
         harness.census_max_rt(filt)
         assert calls == [filt]
 
-    def test_one_pair_search_per_candidate(self, monkeypatch):
-        # the filter's synchronization test is the only one: the threshold
-        # search behind each class does not test again
+    def test_no_pair_search_in_the_census(self, monkeypatch):
+        # the threshold kernel is the census's only synchronization test:
+        # no class is pair-tested, under the synchronizing filter too
         calls = []
-        merge = engine._merge_levels
-        monkeypatch.setattr(engine, "_merge_levels", lambda d: calls.append(d) or merge(d))
+        for name in ("is_synchronizing", "_merge_levels"):
+            monkeypatch.setattr(engine, name, lambda d, name=name: calls.append(name))
         report = harness.census_max_rt(harness.EnumerationFilter(
             letters=2, states=5, eulerian=True, synchronizing=True))
-        assert len(calls) == 435
+        assert calls == []
         assert (report.max_rt, report.classes, len(report.attainers)) == (10, 379, 1)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("names", ["synchronizing", "eulerian,synchronizing",
+                                       "strongly_connected,synchronizing",
+                                       "aperiodic,synchronizing", "none"])
+    def test_census_matches_the_pair_tested_enumeration(self, monkeypatch, n, names):
+        # the reference: enumerate_automata pair-tests the synchronizing
+        # filter, and exact_reset_threshold gives each class its rt; without
+        # the filter the classes that do not synchronize count with rt -1
+        flags = {} if names == "none" else dict.fromkeys(names.split(","), True)
+        filt = harness.EnumerationFilter(letters=2, states=n, **flags)
+        classes, refused, max_rt, attainers = 0, 0, -1, []
+        for d in harness.enumerate_automata(filt):
+            rt = engine.exact_reset_threshold(d)[0] if engine.is_synchronizing(d) else -1
+            classes, refused = classes + 1, refused + (rt < 0)
+            if rt > max_rt:
+                max_rt, attainers = rt, []
+            if rt == max_rt:
+                attainers.append(list(map(list, d.delta)))
+        calls = []
+        for name in ("is_synchronizing", "_merge_levels"):
+            monkeypatch.setattr(engine, name, lambda d, name=name: calls.append(name))
+        report = harness.census_max_rt(filt)
+        assert (report.classes, report.max_rt, report.attainers) == (classes, max_rt, attainers)
+        assert calls == []
+        # every 1-state class synchronizes; from 2 states on some do not
+        assert (refused > 0) == (names == "none" and n > 1)
 
     def test_six_state_eulerian_census(self):
         filt = harness.EnumerationFilter(letters=2, states=6, eulerian=True,
