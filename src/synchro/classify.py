@@ -49,12 +49,8 @@ def is_circular(d):
 def one_cluster_letters(d):
     """Letters whose iterated action funnels every state into one cycle,
     each with that cycle's length."""
-    out = []
-    for a, row in enumerate(d.delta):
-        cycles = cycles_of(row)
-        if len(cycles) == 1:
-            out.append((d.letters[a], len(cycles[0])))
-    return out
+    return [(d.letters[a], len(cycles[0]))
+            for a, cycles in enumerate(map(cycles_of, d.delta)) if len(cycles) == 1]
 
 
 def _is_prime(m):
@@ -128,9 +124,8 @@ def _solve_positive(rows, nvars):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    for i in range(r, len(rows)):
-        if rows[i][nvars] != 0:
-            return None
+    if any(row[nvars] != 0 for row in rows[r:]):
+        return None
     free = [c for c in range(nvars) if c not in pivots]
     # express each variable as const + sum coeff * free_var
     expr = {}
@@ -146,10 +141,8 @@ def _solve_positive(rows, nvars):
     assignment = _fourier_motzkin(ineqs, len(free))
     if assignment is None:
         return None
-    values = []
-    for c in range(nvars):
-        const, coeffs = expr[c]
-        values.append(const + sum(a * t for a, t in zip(coeffs, assignment)))
+    values = [const + sum(a * t for a, t in zip(coeffs, assignment))
+              for const, coeffs in map(expr.get, range(nvars))]
     assert all(v > 0 for v in values)
     return values
 
@@ -186,10 +179,7 @@ def _fourier_motzkin(ineqs, nfree):
     for var, lowers, uppers in reversed(stages):
         lo = [c + sum(a * t for a, t in zip(coeffs, values)) for c, coeffs in lowers]
         hi = [c + sum(a * t for a, t in zip(coeffs, values)) for c, coeffs in uppers]
-        if hi:
-            values.append((max(lo) + min(hi)) / 2)
-        else:
-            values.append(max(lo) + 1)
+        values.append((max(lo) + min(hi)) / 2 if hi else max(lo) + 1)
     return values
 
 

@@ -220,6 +220,15 @@ def union_mask(tables, mask):
     return out
 
 
+def union_array(tables):
+    """union_mask(tables, m) for every mask m below 2^n, as one list indexed by
+    m: the table itself for one chunk, one comprehension per further chunk."""
+    arr = tables[-1]
+    for t in reversed(tables[:-1]):
+        arr = [x | y for x in arr for y in t]
+    return arr
+
+
 def image_tables(d):
     """Per letter, the union tables of its image step: union_mask(tables[a], m) is m.a."""
     return [union_tables([1 << t for t in row]) for row in d.delta]

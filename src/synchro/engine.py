@@ -21,7 +21,7 @@ from synchro.core import (
     union_mask,
 )
 
-EXTENSION_CAP = 16   # default cap for exhaustive per-subset extension searches
+EXTENSION_CAP = 16   # extension profiles: also bounds their k preimage arrays of 2^n masks
 
 
 class NotExtensible(DomainError):
@@ -420,28 +420,45 @@ def shortest_extending_word(tabs, pre, mask):
     return None if hit is None else _read_down(tabs, levels[:-1], hit)
 
 
-def extensibility_profile(d):
-    """Shortest extension lengths for every proper non-singleton subset.
+def _extension_length(arrs, m):
+    """The length of the shortest words v with |m.v^-1| > |m|, by a breadth-first
+    search from m over whole-mask preimage arrays, arrs[a][u] = u.a^-1
+    (core.union_array), to the first new preimage above |m|. Preimages inside
+    m are dropped (_backward_search's rule); none left raises NotExtensible."""
+    size, outside = m.bit_count(), ~m
+    for arr in arrs:   # a one-letter hit needs no seen set
+        if arr[m].bit_count() > size:
+            return 1
+    level, seen, depth = [m], {m}, 0
+    while level:
+        depth, nxt = depth + 1, []
+        for arr in arrs:
+            for u in level:
+                v = arr[u]
+                if v not in seen:
+                    seen.add(v)
+                    if v & outside:
+                        if v.bit_count() > size:
+                            return depth
+                        nxt.append(v)
+        level = nxt
+    raise NotExtensible(tuple(bits(m)))
 
-    Raises NotExtensible (carrying the subset) as soon as one subset admits
-    no extending word.
-    """
+
+def extensibility_profile(d):
+    """Shortest extension lengths by size, over the proper subsets of two or
+    more states (_extension_length on one set of preimage arrays). Raises
+    NotExtensible, carrying the subset, at the first failing subset in mask order."""
     _check_subset_cap(d.n, EXTENSION_CAP)
-    n = d.n
-    pre = core.preimage_tables(d)
+    arrs = [core.union_array(t) for t in core.preimage_tables(d)]
     by_size = {}
-    for m in range(1, 1 << n):
+    for m in range(3, (1 << d.n) - 1):   # from {0, 1} to the last proper subset
         size = m.bit_count()
-        if size < 2 or size == n:
-            continue
-        levels, hit = _backward_search(pre, (m,), size)
-        if hit is None:
-            raise NotExtensible(tuple(bits(m)))
-        # the hit level's depth is the shortest extending word's length
-        if len(levels) - 1 > by_size.get(size, 0):
-            by_size[size] = len(levels) - 1
-    max_len = max(by_size.values(), default=0)
-    return ExtensibilityProfile(n, by_size, max_len)
+        if size > 1:
+            length = _extension_length(arrs, m)
+            if length > by_size.get(size, 0):
+                by_size[size] = length
+    return ExtensibilityProfile(d.n, by_size, max(by_size.values(), default=0))
 
 
 def reset_word_via_extension(d, cap=core.SUBSET_BFS_CAP):
@@ -487,18 +504,13 @@ def properly_oriented(seq):
 def orientation_violations(d, order):
     """Letters whose image sequence under the given state order is not
     a rotation of a nondecreasing sequence."""
-    n = d.n
-    if sorted(order) != list(range(n)):
+    if sorted(order) != list(range(d.n)):
         raise core.InputError("order must be a permutation of the states")
-    pos = [0] * n
+    pos = [0] * d.n
     for i, q in enumerate(order):
         pos[q] = i
-    bad = []
-    for a in range(d.k):
-        seq = [pos[d.delta[a][order[i]]] for i in range(n)]
-        if not properly_oriented(seq):
-            bad.append(a)
-    return bad
+    return [a for a, row in enumerate(d.delta)
+            if not properly_oriented([pos[row[q]] for q in order])]
 
 
 def eppstein_orientable_word(d, order=None):
@@ -512,9 +524,7 @@ def eppstein_orientable_word(d, order=None):
     full set iff d synchronizes, so it decides that too, in polynomial time.
     """
     n = d.n
-    if order is None:
-        order = tuple(range(n))
-    order = tuple(order)
+    order = tuple(range(n) if order is None else order)
     bad = orientation_violations(d, order)
     if bad:
         raise DomainError(
@@ -556,8 +566,7 @@ def c7_height_word(d):
     # the forest: each state's least letter one step closer to the target
     first = {q: next(a for a in range(d.k) if dist[d.delta[a][q]] == dist[q] - 1)
              for q in range(n) if q != q0}
-    cur = set(range(n))
-    word = []
+    cur, word = set(range(n)), []
     for _ in range(n - 1):
         q = max((x for x in cur if x != q0), key=lambda x: (dist[x], -x))
         a = first[q]
@@ -626,16 +635,14 @@ def _a10_word(d, ia, ib):
         inner = _a10_word(sub, ia, ib)
         return (ib,) * (n - m) + inner
     # walk d along b until the cycle is reached
-    kk = 0
-    x = dstate
+    kk, x = 0, dstate
     while x not in cycle_set:
         x = brow[x]
         kk += 1
         if kk > n:
             raise AssertionError("walk along b failed to reach the cycle")
     r = x
-    ell = 0
-    x = e
+    ell, x = 0, e
     while x != r:
         x = brow[x]
         ell += 1

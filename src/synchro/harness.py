@@ -518,9 +518,8 @@ class CaseResult:
 
 def crit_cerny_formula(max_n):
     msgs = []
-    count = 0
-    for n in range(2, min(10, max_n) + 1):
-        count += 1
+    sizes = range(2, min(10, max_n) + 1)
+    for n in sizes:
         inst = families.gen_cerny(n)
         rt = len(engine._meet_search(inst.dfa))
         if rt != (n - 1) ** 2:
@@ -528,7 +527,7 @@ def crit_cerny_formula(max_n):
         w = inst.notes["witness_word"]
         if len(core.image(inst.dfa, StateSet.full(n), w)) != 1:
             msgs.append(f"n={n}: recorded witness word does not reset")
-    return not msgs, "; ".join(msgs) or f"{count} sizes checked"
+    return not msgs, "; ".join(msgs) or f"{len(sizes)} sizes checked"
 
 
 def crit_dnk_formula(max_n):
@@ -596,15 +595,13 @@ def crit_solver_bounds_random(max_n, samples=500):
             msgs.append(f"greedy bound broken on seed {1000 + i}")
             break
         try:
-            prof = engine.extensibility_profile(d)
+            bound = engine.extensibility_profile(d).extension_bound()
         except engine.NotExtensible:
-            prof = None
-        if prof is not None:
-            profiled += 1
-            ext = engine.reset_word_via_extension(d)
-            if not rt <= ext.length <= prof.extension_bound():
-                msgs.append(f"extension bound broken on seed {1000 + i}")
-                break
+            continue
+        profiled += 1
+        if not rt <= engine.reset_word_via_extension(d).length <= bound:
+            msgs.append(f"extension bound broken on seed {1000 + i}")
+            break
     detail = f"{samples} seeded instances checked, {profiled} with full profiles"
     return not msgs, "; ".join(msgs) or detail
 
@@ -743,16 +740,16 @@ def crit_extension_class_properties(max_n, samples=40):
         n = d.n
         if kind == "eulerian" and prof.max_length > n - 1:
             msgs.append(f"eulerian n={n}: extension length {prof.max_length} > n-1")
-            break
-        if kind == "one-cluster" and prof.max_length > 2 * n:
+        elif kind == "one-cluster" and prof.max_length > 2 * n:
             msgs.append(f"one-cluster n={n}: extension length {prof.max_length} > 2n")
-            break
-        if kind == "completely-reachable":
+        elif kind == "completely-reachable":
             for size, length in prof.by_size.items():
                 cap = 2 * n - math.ceil(n / (n - size))
                 if length > cap:
                     msgs.append(f"reachable n={n}: size {size} took {length} > {cap}")
                     break
+        if msgs:
+            break   # every kind stops the campaign at its first failure
     return not msgs, "; ".join(msgs) or f"{len(cases)} instances profiled"
 
 
@@ -833,10 +830,7 @@ QUICK_SKIP = {"12-eulerian-census"}
 def run_case(spec, max_n, samples=None):
     start = time.perf_counter()
     try:
-        if samples is None:
-            passed, detail = spec.fn(max_n)
-        else:
-            passed, detail = spec.fn(max_n, samples=samples)
+        passed, detail = spec.fn(max_n) if samples is None else spec.fn(max_n, samples=samples)
     except Exception as exc:  # a crash is a failure, not a verdict
         passed, detail = False, f"error: {exc}"
     return CaseResult(spec.case_id, spec.description, passed, detail,

@@ -172,6 +172,18 @@ class TestUnionTables:
                 assert core.union_mask(img[a], m) == core.image_mask(row, m)
                 assert core.union_mask(pre[a], m) == core.preimage_mask(raw[a], m)
 
+    @pytest.mark.parametrize("n", [1, 5, 8, 9, 13, 16])
+    def test_array_agrees_with_union_mask(self, n):
+        # one chunk, two chunks, and a partial last chunk
+        d = random_dfa(n, 2, random.Random(100 + n))
+        for tables in core.image_tables(d) + core.preimage_tables(d):
+            arr = core.union_array(tables)
+            assert len(arr) == 1 << n
+            assert arr == [core.union_mask(tables, m) for m in range(1 << n)]
+        if n <= 8:
+            tables = core.preimage_tables(d)[0]
+            assert core.union_array(tables) is tables[0]
+
 
 class TestStateSet:
     def test_no_width_limit_beyond_64_states(self):

@@ -374,6 +374,14 @@ class TestExtension:
     def test_one_state(self):
         assert engine.reset_word_via_extension(one_state()).word == ()
 
+    def test_profile_at_the_cap(self):
+        # 2^16 - 18 searches over two arrays of 2^16 masks; Černý's series
+        # needs n letters for its worst subsets
+        assert engine.EXTENSION_CAP == 16
+        assert engine.extensibility_profile(cerny(16)).max_length == 16
+        with pytest.raises(CapExceeded):
+            engine.extensibility_profile(cerny(17))
+
     def test_eulerian_extension_within_square_minus(self):
         # four-state instance with uniform in-degree 2: each step extends
         # within n-1, so the whole word stays within 1+(n-1)(n-2) = 7
@@ -937,41 +945,46 @@ def is_interval(n, mask):
 
 
 class TestBackwardSearchCoverage:
-    def test_profile_lengths_are_the_extending_word_lengths(self, monkeypatch):
-        # the profile reads each subset's length off the search depth; every
-        # subset it searches is compared with shortest_extending_word's word
-        real = engine._backward_search
+    def test_profile_lengths_are_the_extending_word_lengths(self):
+        # each subset's length from the array kernel is compared with
+        # shortest_extending_word's word, and the profile with their fold
         rng = random.Random(33)
         for _ in range(80):
             d = random_dfa(rng.randrange(3, 8), rng.choice((2, 3)), rng)
-            depths = {}
-
-            def spy(pre, starts, above):
-                levels, hit = real(pre, starts, above)
-                depths[starts] = None if hit is None else len(levels) - 1
-                return levels, hit
-
-            with monkeypatch.context() as patch:
-                patch.setattr(engine, "_backward_search", spy)
-                try:
-                    prof = engine.extensibility_profile(d)
-                except engine.NotExtensible as exc:
-                    prof = exc
+            try:
+                prof = engine.extensibility_profile(d)
+            except engine.NotExtensible as exc:
+                prof = exc
             tabs, pre = core.image_tables(d), core.preimage_tables(d)
+            arrs = [core.union_array(t) for t in pre]
             subsets = [m for m in range(1, 1 << d.n) if 2 <= m.bit_count() < d.n]
             by_size, missing = {}, None
             for m in subsets:
                 v = engine.shortest_extending_word(tabs, pre, m)
-                assert depths.pop((m,)) == (None if v is None else len(v)), (d.delta, m)
                 if v is None:
+                    with pytest.raises(engine.NotExtensible) as err:
+                        engine._extension_length(arrs, m)
+                    assert err.value.subset == tuple(core.bits(m))
                     missing = m
                     break
+                assert engine._extension_length(arrs, m) == len(v), (d.delta, m)
                 by_size[m.bit_count()] = max(by_size.get(m.bit_count(), 0), len(v))
-            assert not depths
             if missing is None:
-                assert prof.by_size == by_size
+                assert list(prof.by_size.items()) == list(by_size.items())
+                assert prof.max_length == max(by_size.values(), default=0)
             else:
                 assert prof.subset == tuple(core.bits(missing))
+
+    def test_profile_runs_no_backward_search_and_no_per_step_lookup(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the profile steps through its preimage arrays")
+
+        monkeypatch.setattr(engine, "_backward_search", refuse)
+        monkeypatch.setattr(engine, "union_mask", refuse)
+        monkeypatch.setattr(core, "union_mask", refuse)
+        assert engine.extensibility_profile(cerny(9)).max_length == 9
+        with pytest.raises(engine.NotExtensible):
+            engine.extensibility_profile(Dfa(3, ("a",), ((0, 0, 0),)))
 
     def test_search_from_singletons_reaches_the_reference_subsets(self):
         rng = random.Random(37)

@@ -667,6 +667,21 @@ class TestSuite:
     def test_empty_caps_empty_report(self):
         assert harness.run_suite("paper", max_n=1) == []
 
+    def test_extension_campaign_stops_at_the_first_reachable_failure(self, monkeypatch):
+        # a profile that passes the Eulerian and one-cluster bounds but whose
+        # (n-1)-subsets take n+1 letters, over the completely reachable cap n
+        calls = []
+
+        def over_cap(d):
+            calls.append(d)
+            return engine.ExtensibilityProfile(d.n, {d.n - 1: d.n + 1}, 0)
+
+        monkeypatch.setattr(engine, "extensibility_profile", over_cap)
+        passed, detail = harness.crit_extension_class_properties(5, samples=1)
+        assert not passed
+        assert detail == "reachable n=4: size 3 took 5 > 4"
+        assert len(calls) == 3   # eulerian, one-cluster, then the failing instance
+
     def test_unknown_suite(self):
         with pytest.raises(DomainError):
             harness.run_suite("nope", max_n=4)
