@@ -14,7 +14,6 @@ from synchro.core import (
     dfa_to_json,
     image,
     load_dfa,
-    preimage,
     save_dfa,
 )
 
@@ -32,6 +31,5 @@ __all__ = [
     "dfa_to_json",
     "image",
     "load_dfa",
-    "preimage",
     "save_dfa",
 ]

@@ -108,7 +108,11 @@ def pseudo_eulerian_weights(d):
 def _solve_positive(rows, nvars):
     """A strictly positive solution of the equality system rows (augmented
     column last), or None. Gaussian elimination plus Fourier-Motzkin over
-    the free variables, all in exact rationals."""
+    the free variables, all in exact rationals.
+
+    The positive solutions must be bounded, as the weight system's are:
+    they sum to 1. Then each free variable has an upper bound at its
+    Fourier-Motzkin stage, and the back-substitution takes the midpoint."""
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -151,7 +155,8 @@ def _fourier_motzkin(ineqs, nfree):
     """Find t with const + coeffs . t > 0 for all strict inequalities.
 
     Among them is t_j > 0 for every j, as _solve_positive passes them, so
-    each variable has a lower bound when it is substituted back."""
+    each variable has a lower bound when it is substituted back; the upper
+    bound comes from the bounded system _solve_positive requires."""
     if nfree == 0:
         return [] if all(const > 0 for const, _ in ineqs) else None
     stages = []
@@ -179,7 +184,7 @@ def _fourier_motzkin(ineqs, nfree):
     for var, lowers, uppers in reversed(stages):
         lo = [c + sum(a * t for a, t in zip(coeffs, values)) for c, coeffs in lowers]
         hi = [c + sum(a * t for a, t in zip(coeffs, values)) for c, coeffs in uppers]
-        values.append((max(lo) + min(hi)) / 2 if hi else max(lo) + 1)
+        values.append((max(lo) + min(hi)) / 2)
     return values
 
 

@@ -111,39 +111,11 @@ class StateSet:
             raise InputError(f"mask {self.mask:#x} out of range for n={self.n}")
 
     @classmethod
-    def of(cls, n, states):
-        mask = 0
-        for q in states:
-            if not 0 <= q < n:
-                raise InputError(f"state {q} not in [0, {n})")
-            mask |= 1 << q
-        return cls(n, mask)
-
-    @classmethod
     def full(cls, n):
         return cls(n, (1 << n) - 1)
 
-    @classmethod
-    def singleton(cls, n, q):
-        return cls.of(n, [q])
-
-    def __contains__(self, q):
-        return 0 <= q < self.n and (self.mask >> q) & 1
-
-    def __iter__(self):
-        return bits(self.mask)
-
     def __len__(self):
         return self.mask.bit_count()
-
-    def is_empty(self):
-        return self.mask == 0
-
-    def is_full(self):
-        return self.mask == (1 << self.n) - 1
-
-    def states(self):
-        return tuple(bits(self.mask))
 
 
 # -- words ------------------------------------------------------------------
@@ -243,22 +215,11 @@ def image(d, P, w):
     """The set P.w of states reachable from P along w. P must be non-empty."""
     if P.n != d.n:
         raise InputError("state set does not match the automaton")
-    if P.is_empty():
+    if not P.mask:
         raise InputError("image of the empty set is not defined")
     mask = P.mask
     for a in check_word(d, w):
         mask = image_mask(d.delta[a], mask)
-    return StateSet(d.n, mask)
-
-
-def preimage(d, P, w):
-    """The set P.w^-1 of states that w carries into P."""
-    if P.n != d.n:
-        raise InputError("state set does not match the automaton")
-    mask = P.mask
-    pre = letter_preimage_masks(d)
-    for a in reversed(check_word(d, w)):
-        mask = preimage_mask(pre[a], mask)
     return StateSet(d.n, mask)
 
 
@@ -388,17 +349,12 @@ def strongly_connected_components(n, succs):
 
 # -- subautomata -------------------------------------------------------------
 
-def subautomaton(d, S):
-    """Restrict the automaton to a closed state set.
-
-    Returns (automaton, index_map) where index_map[i] is the original state
-    carried by new state i.
-    """
-    if S.n != d.n:
-        raise InputError("state set does not match the automaton")
-    if S.is_empty():
-        raise InputError("subautomaton needs a non-empty state set")
-    states = S.states()
+def subautomaton(d, mask):
+    """Restrict the automaton to the closed state set mask; new state i is
+    the i-th least state of the set."""
+    if not 0 < mask < (1 << d.n):
+        raise InputError(f"mask {mask:#x} out of range for n={d.n}")
+    states = tuple(bits(mask))
     pos = {q: i for i, q in enumerate(states)}
     for q in states:
         for a in range(d.k):
@@ -406,7 +362,7 @@ def subautomaton(d, S):
                 raise PreconditionError(
                     f"set is not closed: state {q} escapes under letter {d.letters[a]!r}")
     delta = tuple(tuple(pos[d.delta[a][q]] for q in states) for a in range(d.k))
-    return Dfa(len(states), d.letters, delta, name=d.name and d.name + "/sub"), states
+    return Dfa(len(states), d.letters, delta, name=d.name and d.name + "/sub")
 
 
 # -- serialization -----------------------------------------------------------

@@ -16,7 +16,6 @@ from synchro.core import (
     CapExceeded,
     DomainError,
     NotSynchronizing,
-    StateSet,
     bits,
     union_mask,
 )
@@ -631,9 +630,8 @@ def _a10_word(d, ia, ib):
     cycle_set = set(cycle)
     dstate = arow[e]
     if dstate in cycle_set:
-        sub, states = core.subautomaton(d, StateSet.of(n, sorted(cycle_set)))
-        inner = _a10_word(sub, ia, ib)
-        return (ib,) * (n - m) + inner
+        sub = core.subautomaton(d, sum(1 << q for q in cycle))
+        return (ib,) * (n - m) + _a10_word(sub, ia, ib)
     # walk d along b until the cycle is reached
     kk, x = 0, dstate
     while x not in cycle_set:

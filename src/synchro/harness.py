@@ -41,7 +41,7 @@ from fractions import Fraction
 from operator import add, rshift
 
 from synchro import bounds, classify, core, engine, families, monoid
-from synchro.core import CapExceeded, Dfa, DomainError, InputError, NotSynchronizing, StateSet
+from synchro.core import CapExceeded, Dfa, DomainError, InputError, NotSynchronizing
 
 ENUM_STATE_CAP = 6
 ENUM_LETTER_CAP = 2
@@ -525,7 +525,7 @@ def crit_cerny_formula(max_n):
         if rt != (n - 1) ** 2:
             msgs.append(f"n={n}: threshold {rt} != (n-1)^2")
         w = inst.notes["witness_word"]
-        if len(core.image(inst.dfa, StateSet.full(n), w)) != 1:
+        if len({core.apply_word(inst.dfa, q, w) for q in range(n)}) != 1:
             msgs.append(f"n={n}: recorded witness word does not reset")
     return not msgs, "; ".join(msgs) or f"{len(sizes)} sizes checked"
 
@@ -539,7 +539,7 @@ def crit_dnk_formula(max_n):
         if rt != k * (n - 2) + 2:
             msgs.append(f"(n,k)=({n},{k}): threshold {rt} != {k * (n - 2) + 2}")
         w = inst.notes["witness_word"]
-        if len(core.image(inst.dfa, StateSet.full(n), w)) != 1:
+        if len({core.apply_word(inst.dfa, q, w) for q in range(n)}) != 1:
             msgs.append(f"(n,k)=({n},{k}): recorded witness word does not reset")
     return not msgs, "; ".join(msgs) or f"{len(pairs)} pairs checked"
 
@@ -656,17 +656,18 @@ def crit_eppstein(max_n):
         rt = len(engine._meet_search(d))
         if res.length > (n - 1) ** 2 or res.length < rt:
             msgs.append(f"n={n}: produced {res.length}, exact {rt}")
-        # re-walk the suffix preimages; each must be an arc of the cycle order
-        cur = StateSet.singleton(n, res.target)
-        for i in range(res.length - 1, -1, -1):
-            cur = core.preimage(d, cur, res.word[i:i + 1])
-            mask = cur.mask
+        # re-walk the suffix preimages bit by bit, not by the engine's chunk
+        # tables; each must be an arc of the cycle order
+        pre = core.letter_preimage_masks(d)
+        mask = 1 << res.target
+        for a in reversed(res.word):
+            mask = core.preimage_mask(pre[a], mask)
             if mask in (0, (1 << n) - 1):
                 continue
             ends = sum(1 for j in range(n)
                        if (mask >> j) & 1 and not (mask >> ((j + 1) % n)) & 1)
             if ends != 1:
-                msgs.append(f"n={n}: suffix preimage {sorted(cur)} not an interval")
+                msgs.append(f"n={n}: suffix preimage {list(core.bits(mask))} not an interval")
                 break
     return not msgs, "; ".join(msgs) or "backward walks stayed within intervals"
 

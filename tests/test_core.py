@@ -12,7 +12,6 @@ from synchro.core import (
     StateSet,
     apply_word,
     image,
-    preimage,
 )
 
 
@@ -97,21 +96,28 @@ class TestApplyWord:
                 assert apply_word(d, q, u + v) == apply_word(d, apply_word(d, q, u), v)
 
 
+def preimage(d, mask, word):
+    """The mask of the states that word carries into mask, by per-bit steps."""
+    pre = core.letter_preimage_masks(d)
+    for a in reversed(word):
+        mask = core.preimage_mask(pre[a], mask)
+    return mask
+
+
 class TestImagePreimage:
     def test_image_merges(self):
         d = cerny(4)
-        P = StateSet.of(4, [0, 1])
-        assert image(d, P, w(d, "a")).states() == (1,)
+        assert image(d, StateSet(4, 0b11), w(d, "a")).mask == 0b10
 
     def test_image_empty_word(self):
         d = cerny(6)
-        P = StateSet.of(6, [2, 4])
+        P = StateSet(6, 0b10100)
         assert image(d, P, ()) == P
 
     def test_image_of_reset_word_is_singleton(self):
         d = cerny(4)
         res = image(d, StateSet.full(4), w(d, "abbbabbba"))
-        assert res.states() == (1,)
+        assert res.mask == 0b10
 
     def test_image_rejects_empty_set(self):
         d = cerny(4)
@@ -120,15 +126,15 @@ class TestImagePreimage:
 
     def test_preimage_inverts_a_column(self):
         d = cerny(4)
-        assert preimage(d, StateSet.of(4, [1]), w(d, "a")).states() == (0, 1)
+        assert preimage(d, 0b10, w(d, "a")) == 0b11
 
     def test_preimage_of_full_is_full(self):
         d = cerny(5)
-        assert preimage(d, StateSet.full(5), w(d, "abab")).is_full()
+        assert preimage(d, 0b11111, w(d, "abab")) == 0b11111
 
     def test_preimage_fixed_state(self):
         d = cerny(4)
-        assert preimage(d, StateSet.of(4, [2]), w(d, "a")).states() == (2,)
+        assert preimage(d, 0b100, w(d, "a")) == 0b100
 
     def test_adjunction_exhaustive_small(self):
         # P is contained in (P.w)w^-1 and (P.w^-1).w is contained in P
@@ -137,12 +143,11 @@ class TestImagePreimage:
             d = random_dfa(rng.randrange(2, 6), 2, rng)
             word = tuple(rng.randrange(2) for _ in range(rng.randrange(5)))
             for m in range(1, 1 << d.n):
-                P = StateSet(d.n, m)
-                img = image(d, P, word)
-                assert P.mask & preimage(d, img, word).mask == P.mask
-                pre = preimage(d, P, word)
-                if not pre.is_empty():
-                    assert image(d, pre, word).mask & ~P.mask == 0
+                img = image(d, StateSet(d.n, m), word)
+                assert m & preimage(d, img.mask, word) == m
+                pre = preimage(d, m, word)
+                if pre:
+                    assert image(d, StateSet(d.n, pre), word).mask & ~m == 0
 
     def test_image_never_grows(self):
         rng = random.Random(7)
@@ -195,11 +200,12 @@ class TestStateSet:
             word = solver(d, cap=70).word
             assert len(image(d, StateSet.full(70), word)) == 1
 
-    def test_membership_and_len(self):
-        s = StateSet.of(6, [0, 3, 5])
-        assert 3 in s and 1 not in s
-        assert len(s) == 3
-        assert list(s) == [0, 3, 5]
+    def test_len_and_range_check(self):
+        assert len(StateSet(6, 0b101001)) == 3
+        assert len(StateSet.full(6)) == 6
+        for mask in (-1, 1 << 6):
+            with pytest.raises(InputError):
+                StateSet(6, mask)
 
 
 class TestGraph:
@@ -229,18 +235,28 @@ class TestGraph:
 class TestQuotientSubautomaton:
     def test_subautomaton_whole(self):
         d = cerny(4)
-        sub, idx = core.subautomaton(d, StateSet.full(4))
-        assert sub.delta == d.delta and idx == (0, 1, 2, 3)
+        assert core.subautomaton(d, 0b1111).delta == d.delta
 
     def test_subautomaton_zero_state(self):
         d = chain(4)
-        sub, idx = core.subautomaton(d, StateSet.of(4, [0]))
-        assert sub.n == 1 and idx == (0,)
+        sub = core.subautomaton(d, 0b1)
+        assert sub.n == 1 and sub.delta == ((0,),)
+
+    def test_subautomaton_renumbers_in_state_order(self):
+        # states 1 and 3 form a closed set: new state 0 is 1, new state 1 is 3
+        d = Dfa(4, ("a", "b"), ((3, 3, 0, 1), (0, 1, 2, 3)), name="D")
+        sub = core.subautomaton(d, 0b1010)
+        assert sub.delta == ((1, 0), (0, 1)) and sub.name == "D/sub"
 
     def test_open_set_rejected(self):
         d = cerny(4)
         with pytest.raises(PreconditionError):
-            core.subautomaton(d, StateSet.of(4, [1, 2]))
+            core.subautomaton(d, 0b110)
+
+    @pytest.mark.parametrize("mask", [0, 1 << 4])
+    def test_mask_out_of_range_rejected(self, mask):
+        with pytest.raises(InputError):
+            core.subautomaton(cerny(4), mask)
 
 
 class TestTransformations:

@@ -397,17 +397,20 @@ class TestExtension:
         import itertools
         for _ in range(10):
             d = random_sync(3, 2, rng)
+            pre = core.letter_preimage_masks(d)
             for m in range(1, 7):
-                P = StateSet(3, m)
-                if len(P) != 2:
+                if m.bit_count() != 2:
                     continue
                 v = engine.shortest_extending_word(core.image_tables(d),
-                                                   core.preimage_tables(d), P.mask)
-                # oracle: try all words by increasing length
+                                                   core.preimage_tables(d), m)
+                # oracle: try all words by increasing length, per-bit steps
                 best = None
                 for length in range(0, 8):
                     for cand in itertools.product(range(2), repeat=length):
-                        if len(core.preimage(d, P, cand)) > 2:
+                        t = m
+                        for a in reversed(cand):
+                            t = core.preimage_mask(pre[a], t)
+                        if t.bit_count() > 2:
                             best = cand
                             break
                     if best is not None:
@@ -451,13 +454,12 @@ class TestEppstein:
     def test_suffix_preimages_are_intervals(self):
         d = cerny(5)
         res = engine.eppstein_orientable_word(d)
-        cur = StateSet.singleton(5, res.target)
-        for i in range(len(res.word) - 1, -1, -1):
-            cur = core.preimage(d, cur, res.word[i:i + 1])
-            states = list(cur)
-            if len(states) in (0, 5):
+        pre = core.letter_preimage_masks(d)
+        mask = 1 << res.target
+        for a in reversed(res.word):
+            mask = core.preimage_mask(pre[a], mask)
+            if mask.bit_count() in (0, 5):
                 continue
-            mask = cur.mask
             ends = sum(1 for j in range(5)
                        if (mask >> j) & 1 and not (mask >> ((j + 1) % 5)) & 1)
             assert ends == 1

@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from synchro import bounds, classify, cli, core, engine, harness, monoid
+from synchro import bounds, classify, cli, core, engine, families, harness, monoid
 from synchro.core import CapExceeded, Dfa, DomainError, InputError
 
 
@@ -681,6 +681,47 @@ class TestSuite:
         assert not passed
         assert detail == "reachable n=4: size 3 took 5 > 4"
         assert len(calls) == 3   # eulerian, one-cluster, then the failing instance
+
+    def test_cerny_case_reports_a_witness_that_does_not_reset(self, monkeypatch):
+        # the recorded witness loses its last letter; the thresholds still hold
+        real = families.gen_cerny
+
+        def short_witness(n):
+            inst = real(n)
+            notes = {**inst.notes, "witness_word": inst.notes["witness_word"][:-1]}
+            return dataclasses.replace(inst, notes=notes)
+
+        monkeypatch.setattr(families, "gen_cerny", short_witness)
+        passed, detail = harness.crit_cerny_formula(3)
+        assert not passed
+        assert detail == ("n=2: recorded witness word does not reset; "
+                          "n=3: recorded witness word does not reset")
+
+    def test_eppstein_case_reports_a_suffix_preimage_off_the_cycle_order(self, monkeypatch):
+        # The cerny series is oriented under the identity order, so no word
+        # on it leaves the arcs: swap states 1 and 2 of cerny-4, so a sends
+        # 0 to 2 and b runs 0 2 1 3. Walked from its end, a^8 b carries {1}
+        # to {2}, then to {0, 2}; a walk from its start meets {1} and {2} only.
+        real_gen, real_solve = families.gen_cerny, engine.eppstein_orientable_word
+        swap = (0, 2, 1, 3)
+
+        def relabeled(n):
+            inst = real_gen(n)
+            if n != 4:
+                return inst
+            delta = tuple(tuple(swap[row[swap[q]]] for q in range(n)) for row in inst.dfa.delta)
+            return dataclasses.replace(inst, dfa=Dfa(n, inst.dfa.letters, delta))
+
+        def solve(d):
+            if d.n != 4:
+                return real_solve(d)
+            return engine.SolveResult((0,) * 8 + (1,), "eppstein", 1)   # length 9 = rt
+
+        monkeypatch.setattr(families, "gen_cerny", relabeled)
+        monkeypatch.setattr(engine, "eppstein_orientable_word", solve)
+        passed, detail = harness.crit_eppstein(4)
+        assert not passed
+        assert detail == "n=4: suffix preimage [0, 2] not an interval"
 
     def test_unknown_suite(self):
         with pytest.raises(DomainError):

@@ -4,8 +4,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "synchro"
 
-# public API kept for library users although no library code calls it
-KEPT_API = {"Dfa.letter_index", "StateSet.is_full", "ExtensibilityProfile.alpha"}
+# public API kept for library users although no library code calls it;
+# perfbench's invariant check reads StateSet.full until the benchmark stops
+# naming StateSet (ROADMAP item 2)
+KEPT_API = {"Dfa.letter_index", "StateSet.full", "ExtensibilityProfile.alpha"}
 
 
 def _references(node, skip=()):
@@ -76,6 +78,14 @@ def test_every_kept_name_is_defined():
     for path in sorted(SRC.glob("*.py")):
         names.update(qualname for qualname, _, _ in _definitions(ast.parse(path.read_text())))
     assert sorted(KEPT_API - names) == []
+
+
+def test_only_core_names_the_state_set_type():
+    # every library search and check moves int masks; StateSet is core's
+    # boundary type for outside readers, exported by the package
+    named = [path.name for path in sorted(SRC.glob("*.py"))
+             if _references(ast.parse(path.read_text()))["StateSet"]]
+    assert named == ["__init__.py", "core.py"]
 
 
 def test_no_engine_function_calls_a_capped_solver():
