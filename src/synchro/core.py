@@ -201,14 +201,38 @@ def union_array(tables):
     return arr
 
 
+class LetterTables:
+    """One set of union tables over letter-packed masks: packed[q] holds
+    letter a's step of state q in bits [a·n, (a+1)·n), so one union_mask
+    lookup gives every letter's step of a mask at once."""
+
+    __slots__ = ("tables", "n", "shifts", "full")
+
+    def __init__(self, packed, n, shifts):
+        self.tables = union_tables(packed)
+        self.n, self.shifts, self.full = n, shifts, (1 << n) - 1
+
+    def steps(self, mask):
+        """Every letter's step of mask, in letter order: x >> shift & full."""
+        x, full = union_mask(self.tables, mask), self.full
+        return [x >> s & full for s in self.shifts]
+
+
 def image_tables(d):
-    """Per letter, the union tables of its image step: union_mask(tables[a], m) is m.a."""
-    return [union_tables([1 << t for t in row]) for row in d.delta]
+    """The letter-packed tables of the image step: letter a's step of m is m.a."""
+    n, packed, shifts = d.n, [0] * d.n, range(0, len(d.delta) * d.n, d.n)
+    for s, row in zip(shifts, d.delta):
+        packed = [x | 1 << t + s for x, t in zip(packed, row)]
+    return LetterTables(packed, n, shifts)
 
 
 def preimage_tables(d):
-    """Per letter, the union tables of its preimage step: m.a^-1."""
-    return [union_tables(row) for row in letter_preimage_masks(d)]
+    """The letter-packed tables of the preimage step: letter a's step of m is m.a^-1."""
+    n, packed, shifts = d.n, [0] * d.n, range(0, len(d.delta) * d.n, d.n)
+    for s, row in zip(shifts, d.delta):
+        for q, t in enumerate(row):
+            packed[t] |= 1 << q + s
+    return LetterTables(packed, n, shifts)
 
 
 def image(d, P, w):

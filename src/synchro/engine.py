@@ -290,11 +290,14 @@ def _meet_search(d):
 
 def _step_forward(tabs, level, seen, fits):
     """The next forward level, in least-word order. Stops at the first new
-    mask that fits and returns it as hit (else hit is None): (next, hit)."""
+    mask that fits and returns it as hit (else hit is None): (next, hit).
+    One lookup per mask gives every letter's image, split in letter order."""
+    tables, shifts, full = tabs.tables, tabs.shifts, tabs.full
     nxt = []
     for m in level:
-        for t in tabs:
-            m2 = union_mask(t, m)
+        x = union_mask(tables, m)
+        for s in shifts:
+            m2 = x >> s & full
             if m2 not in seen:
                 seen.add(m2)
                 nxt.append(m2)
@@ -306,11 +309,13 @@ def _step_forward(tabs, level, seen, fits):
 def _step_backward(pre, level, seen, inside=0):
     """The next backward level: the new preimages of level's masks that have
     a state outside the mask inside; with inside = 0, every new nonempty
-    one. A dropped preimage joins seen too, so each new mask is tested once."""
-    nxt, outside = [], ~inside
-    for t in pre:
-        for m in level:
-            m2 = union_mask(t, m)
+    one. A dropped preimage joins seen too, so each new mask is tested once.
+    Each mask's packed preimage is looked up once, then split letter by letter."""
+    nxt, outside, full = [], ~inside, pre.full
+    xs = [union_mask(pre.tables, m) for m in level]
+    for s in pre.shifts:
+        for x in xs:
+            m2 = x >> s & full
             if m2 not in seen:
                 seen.add(m2)
                 if m2 & outside:
@@ -329,10 +334,11 @@ def _read_word(tabs, levels, m):
     to it, and its letter the least such one: a level is built in (mask,
     letter) order and a mask joins it at its first discovery, so these are
     the parent and letter _step_forward found it by."""
+    tables, shifts, full = tabs.tables, tabs.shifts, tabs.full
     word = []
     for level in reversed(levels[:-1]):
-        a, m = next((a, up) for up in level for a, t in enumerate(tabs)
-                    if union_mask(t, up) == m)
+        a, m = next((a, up) for up in level for x in [union_mask(tables, up)]
+                    for a, s in enumerate(shifts) if x >> s & full == m)
         word.append(a)
     word.reverse()
     return tuple(word)
@@ -347,9 +353,8 @@ def _read_down(tabs, levels, m):
         # at most k masks are tested against each level here, too few to
         # pay for its fit tables
         fits = _scan_fit(level)
-        a = next(a for a, t in enumerate(tabs) if fits(union_mask(t, m)))
+        a, m = next((a, m2) for a, m2 in enumerate(tabs.steps(m)) if fits(m2))
         word.append(a)
-        m = union_mask(tabs[a], m)
     return tuple(word)
 
 
@@ -410,10 +415,11 @@ def greedy_compression_word(d, cap=core.SUBSET_BFS_CAP):
 def shortest_extending_word(tabs, pre, mask):
     """The least shortest word v with |mask.v^-1| > |mask|, or None if none exists.
 
-    tabs and pre are the automaton's core.image_tables and core.preimage_tables.
-    The backward search from mask drops every preimage inside mask, so a
-    mask that no word extends is proved so by the preimages it has outside
-    itself alone.
+    tabs and pre are the automaton's core.image_tables and core.preimage_tables,
+    one letter-packed core.LetterTables each: a lookup gives every letter's
+    step of a mask. The backward search from mask drops every preimage
+    inside mask, so a mask that no word extends is proved so by the
+    preimages it has outside itself alone.
     """
     levels, hit = _backward_search(pre, (mask,), mask.bit_count())
     return None if hit is None else _read_down(tabs, levels[:-1], hit)
@@ -447,9 +453,10 @@ def _extension_length(arrs, m):
 def extensibility_profile(d):
     """Shortest extension lengths by size, over the proper subsets of two or
     more states (_extension_length on one set of preimage arrays). Raises
-    NotExtensible, carrying the subset, at the first failing subset in mask order."""
+    NotExtensible, carrying the subset, at the first failing subset in mask order.
+    The arrays stay per letter, so a lookup is one index with no split."""
     _check_subset_cap(d.n, EXTENSION_CAP)
-    arrs = [core.union_array(t) for t in core.preimage_tables(d)]
+    arrs = [core.union_array(core.union_tables(row)) for row in core.letter_preimage_masks(d)]
     by_size = {}
     for m in range(3, (1 << d.n) - 1):   # from {0, 1} to the last proper subset
         size = m.bit_count()
@@ -477,17 +484,16 @@ def _extension_word(d):
     shortest extending word; pieces are prepended.
     """
     tabs, pre = core.image_tables(d), core.preimage_tables(d)
-    a, mask = next((a, m) for q in range(d.n) for a, t in enumerate(pre)
-                   if (m := union_mask(t, 1 << q)).bit_count() >= 2)
+    a, mask = next((a, m) for q in range(d.n) for a, m in enumerate(pre.steps(1 << q))
+                   if m.bit_count() >= 2)
     word = (a,)
-    full = (1 << d.n) - 1
-    while mask != full:
+    while mask != pre.full:
         v = shortest_extending_word(tabs, pre, mask)
         if v is None:
             raise NotExtensible(tuple(bits(mask)))
         word = v + word
         for b in reversed(v):
-            mask = union_mask(pre[b], mask)
+            mask = pre.steps(mask)[b]
     return word
 
 

@@ -95,12 +95,12 @@ def is_involution_free(m):
 
     t(t(q)) = q != t(q) holds iff q lies on a 2-cycle of t. The witness of
     "out" is the first such element and its least such state, the first
-    state of its first 2-cycle.
+    state of its first 2-cycle (core.cycles_of's order).
     """
     for i, t in enumerate(m.elements):
-        for cyc in cycles_of(t):
-            if len(cyc) == 2:
-                return Verdict("out", witness={"word": list(m.words[i]), "state": cyc[0]})
+        q = next((q for q in range(len(t)) if t[t[q]] == q != t[q]), None)
+        if q is not None:
+            return Verdict("out", witness={"word": list(m.words[i]), "state": q})
     return Verdict("in", witness=len(m))
 
 

@@ -173,20 +173,51 @@ class TestUnionTables:
         img, pre = core.image_tables(d), core.preimage_tables(d)
         raw = core.letter_preimage_masks(d)
         for m in masks:
+            images, preimages = img.steps(m), pre.steps(m)
             for a, row in enumerate(d.delta):
-                assert core.union_mask(img[a], m) == core.image_mask(row, m)
-                assert core.union_mask(pre[a], m) == core.preimage_mask(raw[a], m)
+                assert images[a] == core.image_mask(row, m)
+                assert preimages[a] == core.preimage_mask(raw[a], m)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 13])
+    @pytest.mark.parametrize("n", [1, 5, 7, 8, 9, 13, 16, 17, 63, 64, 65, 70])
+    def test_packed_layout_agrees_with_per_bit_steps(self, n, k):
+        # letter a's part of one packed lookup, split by its shift, against
+        # the per-bit steps; letter 0 is the identity and, for k > 1, the
+        # last letter is constant
+        rng = random.Random(1000 * k + n)
+        rows = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)]
+        rows[0] = tuple(range(n))
+        if k > 1:
+            rows[-1] = (rng.randrange(n),) * n
+        d = Dfa(n, tuple(f"x{i}" for i in range(k)), rows)
+        img, pre = core.image_tables(d), core.preimage_tables(d)
+        assert (img.n, img.full, list(img.shifts)) == (n, (1 << n) - 1, [a * n for a in range(k)])
+        raw = core.letter_preimage_masks(d)
+        if n <= 9:
+            masks = range(1 << n)
+        else:
+            masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(200)]
+        for m in masks:
+            x, y = core.union_mask(img.tables, m), core.union_mask(pre.tables, m)
+            assert x >> k * n == y >> k * n == 0
+            for a, s in enumerate(img.shifts):
+                assert x >> s & img.full == core.image_mask(d.delta[a], m)
+                assert y >> s & pre.full == core.preimage_mask(raw[a], m)
+            assert img.steps(m)[0] == pre.steps(m)[0] == m
 
     @pytest.mark.parametrize("n", [1, 5, 8, 9, 13, 16])
     def test_array_agrees_with_union_mask(self, n):
-        # one chunk, two chunks, and a partial last chunk
+        # one chunk, two chunks, and a partial last chunk; per-letter tables,
+        # as extensibility_profile builds them
         d = random_dfa(n, 2, random.Random(100 + n))
-        for tables in core.image_tables(d) + core.preimage_tables(d):
+        rows = [[1 << t for t in row] for row in d.delta] + core.letter_preimage_masks(d)
+        for row in rows:
+            tables = core.union_tables(row)
             arr = core.union_array(tables)
             assert len(arr) == 1 << n
             assert arr == [core.union_mask(tables, m) for m in range(1 << n)]
         if n <= 8:
-            tables = core.preimage_tables(d)[0]
+            tables = core.union_tables(core.letter_preimage_masks(d)[0])
             assert core.union_array(tables) is tables[0]
 
 

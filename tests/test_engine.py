@@ -958,7 +958,8 @@ class TestBackwardSearchCoverage:
             except engine.NotExtensible as exc:
                 prof = exc
             tabs, pre = core.image_tables(d), core.preimage_tables(d)
-            arrs = [core.union_array(t) for t in pre]
+            arrs = [core.union_array(core.union_tables(row))
+                    for row in core.letter_preimage_masks(d)]
             subsets = [m for m in range(1, 1 << d.n) if 2 <= m.bit_count() < d.n]
             by_size, missing = {}, None
             for m in subsets:
@@ -1115,17 +1116,51 @@ class TestInsideStartRule:
         assert (len(masks), digest) == (284, "85ff159ba51455ed")
 
 
+class TestLetterPackedSteps:
+    @pytest.mark.parametrize("name, n", [("cerny", 8), ("rystsov", 10)])
+    def test_one_lookup_per_level_mask(self, monkeypatch, name, n):
+        # k = 2 and k = 9 letters, yet each step looks up every mask of its
+        # level once, in level order: one lookup gives every letter's step
+        from synchro import families
+        d = getattr(families, f"gen_{name}")(n).dfa
+        calls = []
+        real = engine.union_mask
+
+        def spy(tables, m):
+            calls.append(m)
+            return real(tables, m)
+
+        monkeypatch.setattr(engine, "union_mask", spy)
+        img, pre = core.image_tables(d), core.preimage_tables(d)
+        stepped = 0
+        for step, start in (
+                (lambda level, seen: engine._step_forward(img, level, seen, lambda m: False)[0],
+                 [(1 << n) - 1]),
+                (lambda level, seen: engine._step_backward(pre, level, seen),
+                 [1 << q for q in range(n)])):
+            level, seen = start, set(start)
+            while level:
+                calls.clear()
+                nxt = step(level, seen)
+                assert calls == level
+                stepped += len(level)
+                level = nxt
+        assert stepped > 2 ** n
+
+
 # -- the bidirectional search against the one-way search ------------------------
 
 def one_way_threshold(d):
     """exact_reset_threshold's answer by a one-way forward subset search:
     breadth first over the images of the full set, letters in index order,
     to the first singleton. Each image maps to the image and letter it was
-    first found by, which is its least shortest word's last step."""
+    first found by, which is its least shortest word's last step. It steps
+    through its own per-letter chunk tables, not the kernel's letter-packed
+    ones, so the two routes share no packing code."""
     if d.n == 1:
         return 0, ()
     ref_check_synchronizing(d)
-    tabs = core.image_tables(d)
+    tabs = [core.union_tables([1 << t for t in row]) for row in d.delta]
     full = (1 << d.n) - 1
     parent = {full: None}
     queue = [full]
