@@ -243,7 +243,7 @@ def _is_singleton(m):
     return not m & (m - 1)
 
 
-def _meet_search(d):
+def _meet_search(d, pair_test_after=None):
     """The least shortest reset word of d, by a bidirectional subset search.
 
     Forward levels F_0 = [Q], F_1, ... list the images of the full set Q by
@@ -264,6 +264,13 @@ def _meet_search(d):
     every image of Q has a shortest word of length <= i < rt, so none is a
     singleton; an empty B_(j+1), that Q, a preimage of a singleton at depth
     rt > j, was never reached. Preimage tables wait for a backward step.
+
+    That verdict can cost a search over every subset. With pair_test_after
+    set, the pair test (is_synchronizing) runs once, after the first round
+    that leaves no meet and more than pair_test_after masks seen on the two
+    sides together, and a failing test raises NotSynchronizing. A passing
+    one changes nothing, so the masks stepped are those of the search
+    without it.
     """
     n = d.n
     tabs, pre = core.image_tables(d), None
@@ -284,6 +291,11 @@ def _meet_search(d):
             hit = _first_fit(fwd[-1], fits)
         if not level:
             raise NotSynchronizing("automaton is not synchronizing")
+        if (hit is None and pair_test_after is not None
+                and len(fseen) + len(bseen) > pair_test_after):
+            if not is_synchronizing(d):
+                raise NotSynchronizing("automaton is not synchronizing")
+            pair_test_after = None
     word = _read_word(tabs, fwd, hit) + _read_down(tabs, back[:-1], hit)
     return _finish(d, word, "bfs").word
 
@@ -390,13 +402,15 @@ def _backward_search(pre, starts, above):
 def exact_reset_threshold(d, cap=core.SUBSET_BFS_CAP):
     """The reset threshold and the lexicographically least shortest reset word.
 
-    The checked front door of the kernel _meet_search, whose own verdict
-    costs a subset search: the pair pre-check refuses a d that cannot reset.
+    The checked front door of the kernel _meet_search. A word the kernel
+    returns proves synchronization, but its own refusal can cost a search
+    over every subset, so the kernel runs the pair test once its two sides
+    have seen more masks than that test's k·n(n−1)/2 pair steps: a d that
+    cannot reset is refused after one more level at most, and a search that
+    meets sooner pays no pair test.
     """
     _check_subset_cap(d.n, cap)
-    if not is_synchronizing(d):
-        raise NotSynchronizing("automaton is not synchronizing")
-    word = _meet_search(d)
+    word = _meet_search(d, d.k * d.n * (d.n - 1) // 2)
     return len(word), word
 
 
@@ -468,24 +482,38 @@ def extensibility_profile(d):
 
 
 def reset_word_via_extension(d, cap=core.SUBSET_BFS_CAP):
-    """Grow a singleton's preimage back to the full state set (_extension_word)."""
+    """Grow a singleton's preimage back to the full state set (_extension_word).
+
+    A word whose preimage of a singleton is the full set resets d, so only a
+    failed extension needs the pair test: it tells a d that cannot reset
+    (NotSynchronizing) from a subset that no word extends (NotExtensible).
+    """
     _check_subset_cap(d.n, cap)
-    if not is_synchronizing(d):
-        raise NotSynchronizing("automaton is not synchronizing")
-    return _finish(d, _extension_word(d) if d.n > 1 else (), "extension")
+    try:
+        word = _extension_word(d) if d.n > 1 else ()
+    except NotExtensible:
+        if not is_synchronizing(d):
+            raise NotSynchronizing("automaton is not synchronizing") from None
+        raise
+    return _finish(d, word, "extension")
 
 
 def _extension_word(d):
-    """The extension method's reset word of a synchronizing d with n >= 2.
+    """The extension method's reset word of d with n >= 2.
 
     The start state is the first state (in index order) with a two-or-more
-    element preimage under some letter, which exists since some letter
-    merges two states; that letter seeds the word. Each later piece is a
-    shortest extending word; pieces are prepended.
+    element preimage under some letter; that letter seeds the word. With no
+    such state no letter merges two states, and NotSynchronizing is raised.
+    Each later piece is a shortest extending word; pieces are prepended. A
+    subset that no word extends raises NotExtensible, which a d that cannot
+    reset raises too, unless no letter merges.
     """
     tabs, pre = core.image_tables(d), core.preimage_tables(d)
-    a, mask = next((a, m) for q in range(d.n) for a, m in enumerate(pre.steps(1 << q))
-                   if m.bit_count() >= 2)
+    seed = next(((a, m) for q in range(d.n) for a, m in enumerate(pre.steps(1 << q))
+                 if m.bit_count() >= 2), None)
+    if seed is None:
+        raise NotSynchronizing("automaton is not synchronizing")
+    a, mask = seed
     word = (a,)
     while mask != pre.full:
         v = shortest_extending_word(tabs, pre, mask)

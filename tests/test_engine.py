@@ -230,18 +230,35 @@ class TestExactResetThreshold:
         with pytest.raises(AssertionError, match="non-reset word"):
             engine.exact_reset_threshold(cerny(4))
 
-    def test_door_refuses_before_any_subset_search(self, monkeypatch):
+    def test_door_refuses_after_one_bounded_pair_test(self, monkeypatch):
         # a 64-state synchronizing table plus an isolated fixed state: the
-        # kernel alone would decide it only by a full subset search
+        # kernel alone would decide it only by a full subset search. The
+        # pair test runs once the two sides have seen more masks than its
+        # own k*n(n-1)/2 steps, so the search ends with the level that
+        # crosses that count.
         from synchro import harness
         d = with_isolated_state(harness.random_synchronizing(64, 2, 1))
+        out, pair_tests, kept, _ = traced(monkeypatch, engine.exact_reset_threshold, d, 65)
+        assert (out, pair_tests) == (NotSynchronizing, 1)
+        assert sum(kept[:-1]) <= 2 * 65 * 64 // 2 < sum(kept), kept
 
-        def kernel(d):
-            raise RuntimeError("the kernel ran")
+    def test_door_under_the_threshold_runs_no_pair_test(self, monkeypatch):
+        # the sides meet after 744 kept masks, below the pair test's 2,256
+        from synchro import harness
+        d = harness.random_synchronizing(48, 2, 0)
+        want = engine._meet_search(d)
+        out, pair_tests, kept, _ = traced(monkeypatch, engine.exact_reset_threshold, d, 48)
+        assert (out, pair_tests, sum(kept)) == ((len(want), want), 0, 744)
 
-        monkeypatch.setattr(engine, "_meet_search", kernel)
-        with pytest.raises(NotSynchronizing):
-            engine.exact_reset_threshold(d, cap=65)
+    def test_door_past_the_threshold_runs_one_pair_test(self, monkeypatch):
+        # eleven letters: the sides keep more than 11*12*11/2 masks before
+        # they meet, and the passing pair test leaves the word alone
+        from synchro import families
+        d = families.gen_rystsov(12).dfa
+        want = engine._meet_search(d)
+        out, pair_tests, kept, _ = traced(monkeypatch, engine.exact_reset_threshold, d)
+        assert (out, pair_tests) == ((66, want), 1)
+        assert sum(kept) > d.k * d.n * (d.n - 1) // 2
 
     def test_cap(self):
         d = Dfa(3, ("a",), ((0, 0, 1),))
@@ -391,6 +408,45 @@ class TestExtension:
         assert engine.is_synchronizing(d)
         res = engine.reset_word_via_extension(d)
         assert res.length <= 7
+
+    def test_permutation_letters_refused_without_a_search(self, monkeypatch):
+        # no letter merges two states: no seed, no pair test, no search
+        d = Dfa(4, ("a", "b"), ((1, 2, 3, 0), (1, 0, 2, 3)))
+        out, pair_tests, _, searches = traced(monkeypatch, engine.reset_word_via_extension, d)
+        assert (out, pair_tests, searches) == (NotSynchronizing, 0, 0)
+
+    def test_isolated_state_refused_after_one_pair_test(self, monkeypatch):
+        # no preimage grown from a state of the table reaches the isolated
+        # state, so the extension fails and the pair test names the reason
+        from synchro import harness
+        d = with_isolated_state(harness.random_synchronizing(16, 2, 0))
+        out, pair_tests, _, searches = traced(monkeypatch, engine.reset_word_via_extension, d)
+        assert (out, pair_tests) == (NotSynchronizing, 1) and searches > 0
+
+    def test_non_extensible_after_one_pair_test(self, monkeypatch):
+        # the pair test passes, so the failing subset is the answer
+        from synchro import harness
+        d = harness.random_synchronizing(64, 2, 2)
+        out, pair_tests, _, _ = traced(
+            monkeypatch, extension_outcome, engine.reset_word_via_extension, d, 64)
+        assert pair_tests == 1
+        assert out == (engine.NotExtensible, tuple(q for q in range(64) if q not in (45, 51, 62)))
+
+    def test_extensible_families_run_no_pair_test(self, monkeypatch):
+        # the word the extension returns proves synchronization
+        dfas, want = [], []
+        for d in family_instances(12):
+            word = extension_outcome(ref_extension_word, d)
+            if isinstance(word, tuple) and word[:1] != (engine.NotExtensible,):
+                dfas.append(d)
+                want.append(word)
+        assert len(dfas) > 80
+        got = []
+        for d in dfas:
+            out, pair_tests, _, _ = traced(monkeypatch, engine.reset_word_via_extension, d)
+            assert pair_tests == 0, d.name
+            got.append(out.word)
+        assert got == want
 
     def test_shortest_extending_word_is_shortest(self):
         rng = random.Random(4)
@@ -1213,6 +1269,36 @@ def with_isolated_state(d):
     return Dfa(d.n + 1, d.letters, tuple(row + (d.n,) for row in d.delta))
 
 
+def traced(monkeypatch, fn, *args):
+    """(outcome(fn, *args), pair tests run, sizes of the levels the subset
+    steps kept in step order, _backward_search calls)."""
+    pair_tests, kept, searches = [], [], []
+    with monkeypatch.context() as patch:
+        real_test, real_search = engine.is_synchronizing, engine._backward_search
+
+        def pair_test(d):
+            pair_tests.append(d)
+            return real_test(d)
+
+        def search(*args):
+            searches.append(args)
+            return real_search(*args)
+
+        patch.setattr(engine, "is_synchronizing", pair_test)
+        patch.setattr(engine, "_backward_search", search)
+        for name in ("_step_forward", "_step_backward"):
+            real = getattr(engine, name)
+
+            def spy(*args, real=real):
+                out = real(*args)
+                kept.append(len(out[0] if isinstance(out, tuple) else out))
+                return out
+
+            patch.setattr(engine, name, spy)
+        out = outcome(fn, *args)
+    return out, len(pair_tests), kept, len(searches)
+
+
 class TestMeetSearch:
     def test_every_family_instance_up_to_16_states(self):
         dfas = list(family_instances(16))
@@ -1317,7 +1403,8 @@ def refuse_pair_test(d):
 
 
 class TestKernelDecidesSynchronization:
-    # the kernel answers without the pair test that the front door runs first
+    # with no pair_test_after, as the census and the verify cases call it,
+    # the kernel answers without the pair test that the front door may run
     def test_emptied_frontiers(self, monkeypatch):
         monkeypatch.setattr(engine, "is_synchronizing", refuse_pair_test)
         for d, _ in EMPTYING_FRONTIERS:

@@ -111,6 +111,12 @@ def test_engine_steps_masks_through_chunk_tables():
 def test_harness_calls_the_threshold_kernel():
     # the harness hands only decided automata (filtered census classes,
     # sampler draws, families synchronizing by construction) to the exact
-    # search, so it calls the kernel, not the front door's pair pre-check
-    refs = _references(ast.parse((SRC / "harness.py").read_text()))
+    # search, so it calls the kernel, not the front door, and never asks the
+    # kernel for the door's pair test
+    tree = ast.parse((SRC / "harness.py").read_text())
+    refs = _references(tree)
     assert refs["_meet_search"] and not refs["exact_reset_threshold"]
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "_meet_search"]
+    assert calls and all(len(call.args) == 1 and not call.keywords for call in calls)
+    assert not refs["pair_test_after"]

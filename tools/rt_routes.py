@@ -4,12 +4,14 @@
 
 Per instance, the best of --repeats wall times (time.perf_counter) of
   - the one-way route, tests/test_engine.py's one_way_threshold:
-    engine.is_synchronizing, then a breadth-first search over the images of
-    the full set to the first singleton, the word read off its parent map;
-    it steps through its own per-letter chunk tables (core.union_tables of
-    each letter's image masks), one lookup per subset and letter, not
-    through the engine's letter-packed tables;
-  - engine.exact_reset_threshold, the bidirectional search;
+    engine.is_synchronizing first, then a breadth-first search over the
+    images of the full set to the first singleton, the word read off its
+    parent map; it steps through its own per-letter chunk tables
+    (core.union_tables of each letter's image masks), one lookup per subset
+    and letter, not through the engine's letter-packed tables;
+  - engine.exact_reset_threshold, the bidirectional search, which runs
+    engine.is_synchronizing only if its two sides see more than k*n(n-1)/2
+    masks before they meet;
 and their ratio. Both routes must give the same word, or the script exits 1.
 A --repeats below 1 exits 2.
 Prints one JSON object.
