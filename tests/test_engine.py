@@ -1398,6 +1398,112 @@ class TestMeetSearch:
             assert stepped[-1] == (f"_step_{side}", [])
 
 
+class ReadCounter(list):
+    """A chunk table that counts its lookups."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        ReadCounter.reads += 1
+        return super().__getitem__(i)
+
+
+def counting_tables(monkeypatch):
+    """Make core.union_tables return ReadCounter tables; returns the list of
+    the table sets it built."""
+    built = []
+    real = core.union_tables
+
+    def spy(masks):
+        tables = [ReadCounter(t) for t in real(masks)]
+        built.append(tables)
+        return tables
+
+    monkeypatch.setattr(core, "union_tables", spy)
+    ReadCounter.reads = 0
+    return built
+
+
+def fit_probes(level, n, rng):
+    """Masks to test against level: every member, each member less one of
+    its states and plus one state outside it, the full set, and random ones."""
+    full = (1 << n) - 1
+    probes = [full] + [rng.getrandbits(n) or 1 for _ in range(20)]
+    for t in level:
+        probes.append(t)
+        states = [q for q in range(n) if t >> q & 1]
+        if len(states) > 1:
+            probes.append(t & ~(1 << rng.choice(states)))
+        if t != full:
+            probes.append(t | 1 << rng.choice([q for q in range(n) if not t >> q & 1]))
+    return probes
+
+
+def random_level(n, width, rng, without=0):
+    """width distinct nonempty masks over n states, none holding a state of
+    without, in random order."""
+    level, seen = [], set()
+    while len(level) < width:
+        m = rng.getrandbits(n) & ~without
+        if m and m not in seen:
+            seen.add(m)
+            level.append(m)
+    return level
+
+
+class TestFitTest:
+    @pytest.mark.parametrize("n", [4, 8, 9, 13, 16, 17, 64, 70])
+    def test_tables_agree_with_the_scan(self, n):
+        rng = random.Random(n)
+        for width in sorted({min(w, 2 ** n - 1) for w in (1, 8, 9, n, n + 1, 3 * n)}):
+            level = random_level(n, width, rng)
+            fits, scan = engine._fit_test(level, n), engine._scan_fit(level)
+            for m in fit_probes(level, n, rng):
+                assert fits(m) == scan(m), (n, width, m)
+
+    @pytest.mark.parametrize("n", [9, 17, 64, 70])
+    def test_a_state_no_member_holds_rules_out_at_the_first_chunk(self, monkeypatch, n):
+        # every member lacks state 0, so the first chunk of any mask holding
+        # it makes the union all ones; the test reads no further chunk
+        rng = random.Random(n)
+        built = counting_tables(monkeypatch)
+        level = random_level(n, engine.FIT_SCAN + 1, rng, without=1)
+        fits, scan = engine._fit_test(level, n), engine._scan_fit(level)
+        assert len(built) == 1
+        for m in fit_probes(level, n, rng):
+            ReadCounter.reads = 0
+            m |= 1
+            assert not fits(m) and not scan(m)
+            assert ReadCounter.reads == 1
+
+    def test_the_last_partial_chunk_decides(self, monkeypatch):
+        # at n = 70 every member holds states 0..63 and one of 64..69, so
+        # the eight full chunks leave the union empty and the last chunk,
+        # of six states, alone says whether a mask fits
+        n, low = 70, (1 << 64) - 1
+        built = counting_tables(monkeypatch)
+        level = [low | 1 << (64 + t % 6) for t in range(engine.FIT_SCAN + 1)]
+        fits = engine._fit_test(level, n)
+        assert len(built) == 1 and len(built[0]) == 9 and len(built[0][-1]) == 64
+        for extra, want in ((0, True), (1 << 64, True), (1 << 69, True),
+                            (3 << 64, False), (1 << 64 | 1 << 69, False)):
+            ReadCounter.reads = 0
+            assert fits(low | extra) == want == engine._scan_fit(level)(low | extra)
+            assert ReadCounter.reads == 9
+
+    def test_levels_wider_than_fit_scan_get_tables(self, monkeypatch):
+        # at n = 64 a level of FIT_SCAN + 1 masks is tested by fit tables,
+        # one of FIT_SCAN masks by a scan, whatever n is
+        n, rng = 64, random.Random(64)
+        built = counting_tables(monkeypatch)
+        for width, tables in ((engine.FIT_SCAN, 0), (engine.FIT_SCAN + 1, 1)):
+            built.clear()
+            level = random_level(n, width, rng)
+            fits = engine._fit_test(level, n)
+            assert len(built) == tables, width
+            assert [fits(m) for m in level + [(1 << n) - 1]] == [True] * width + [False]
+
+
 def refuse_pair_test(d):
     raise RuntimeError("is_synchronizing ran")
 
