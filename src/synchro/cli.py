@@ -17,8 +17,8 @@ from synchro.core import AutomatonError, CapExceeded
 def _load(path):
     try:
         return core.load_dfa(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise core.InputError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError, core.InputError) as exc:
+        raise core.InputError(f"{path}: {exc}") from None
 
 
 def _cap(flag, value):

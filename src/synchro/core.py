@@ -2,13 +2,15 @@
 
 States are dense indices 0..n-1; letters are indexed by their position in
 the ordered letter-name list. State subsets are bit vectors held in
-Python ints, so they have no width limit. Everything here is immutable
-after construction and every operation is a pure function of its inputs, so
-values can be shared freely between concurrent workers.
+Python ints, so they have no width limit. Everything here is immutable after
+construction and every operation is a pure function of its inputs, so values
+can be shared freely between concurrent workers. Three builders memoize their
+last automaton (last_automaton), so the solvers run on it share one build.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -218,6 +220,22 @@ class LetterTables:
         return [x >> s & full for s in self.shifts]
 
 
+def last_automaton(build):
+    """Memoize build(d) for the last d, by identity. The slot, one (d, value)
+    tuple read once and replaced whole, keeps d alive and never mixes two."""
+    slot = (None, None)
+    @functools.wraps(build)
+    def memo(d):
+        nonlocal slot
+        key, value = slot
+        if key is not d:
+            value = build(d)
+            slot = (d, value)
+        return value
+    return memo
+
+
+@last_automaton
 def image_tables(d):
     """The letter-packed tables of the image step: letter a's step of m is m.a."""
     n, packed, shifts = d.n, [0] * d.n, range(0, len(d.delta) * d.n, d.n)
@@ -226,6 +244,7 @@ def image_tables(d):
     return LetterTables(packed, n, shifts)
 
 
+@last_automaton
 def preimage_tables(d):
     """The letter-packed tables of the preimage step: letter a's step of m is m.a^-1."""
     n, packed, shifts = d.n, [0] * d.n, range(0, len(d.delta) * d.n, d.n)

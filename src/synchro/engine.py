@@ -90,6 +90,7 @@ def _finish(d, word, method):
     return SolveResult(tuple(word), method, ends.pop())
 
 
+@core.last_automaton
 def _merge_levels(d):
     """Backward search in the pair automaton from the diagonal.
 
@@ -103,6 +104,7 @@ def _merge_levels(d):
     form the next level. "Seen" is one flat bytearray indexed by p·n + q
     with both orders marked. The search stops after the level that places
     the last of the n(n−1)/2 pairs, since no later level can add one.
+    The result is shared (core.last_automaton) and must not be mutated.
     """
     n = d.n
     seen = bytearray(n * n)
@@ -284,7 +286,7 @@ def _meet_search(d, pair_test_after=None):
     without it.
     """
     n = d.n
-    tabs, pre = core.image_tables(d), None
+    tabs = core.image_tables(d)
     full = (1 << n) - 1
     fwd, back = [[full]], [[1 << q for q in range(n)]]
     fseen, bseen = {full}, set(back[0])
@@ -295,8 +297,7 @@ def _meet_search(d, pair_test_after=None):
             level, hit = _step_forward(tabs, fwd[-1], fseen, fits)
             fwd.append(level)
         else:
-            pre = pre or core.preimage_tables(d)
-            level = _step_backward(pre, back[-1], bseen)
+            level = _step_backward(core.preimage_tables(d), back[-1], bseen)
             back.append(level)
             fits = _fit_test(level, n)
             hit = _first_fit(fwd[-1], fits)

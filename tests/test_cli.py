@@ -135,6 +135,15 @@ class TestSolveAndRt:
         assert code == 2 and out == ""
         assert str(path) in err
 
+    @pytest.mark.parametrize("text", [
+        "not json", '{"n": 2, "letters": ["a"], "delta": [[1, 0]]}'])
+    def test_bad_content_names_the_file(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "rt", str(path))
+        assert code == 2 and out == ""
+        assert str(path) in err and "Traceback" not in err
+
     def test_non_integer_order_exits_2(self, capsys, c4):
         code, out, err = run(capsys, "solve", c4, "--method", "eppstein",
                              "--order", "0,x,2,3")

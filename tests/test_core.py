@@ -1,6 +1,8 @@
 import itertools
 import random
 import re
+import sys
+import threading
 
 import pytest
 
@@ -219,6 +221,100 @@ class TestUnionTables:
         if n <= 8:
             tables = core.union_tables(core.letter_preimage_masks(d)[0])
             assert core.union_array(tables) is tables[0]
+
+
+# the three memoized builders, undecorated, and a comparable form of each result
+BUILDERS = [core.image_tables.__wrapped__, core.preimage_tables.__wrapped__,
+            engine._merge_levels.__wrapped__]
+
+
+def as_data(value):
+    if isinstance(value, core.LetterTables):
+        return value.tables, list(value.shifts), value.n, value.full
+    return value
+
+
+def spied(build):
+    """build memoized afresh, with the list of the automata it was run on."""
+    built = []
+
+    def spy(d):
+        built.append(d)
+        return build(d)
+    return core.last_automaton(spy), built
+
+
+@pytest.mark.parametrize("build", BUILDERS, ids=lambda f: f.__name__)
+class TestLastAutomaton:
+    def test_builds_once_per_run_of_one_automaton(self, build):
+        rng = random.Random(5)
+        a, b = random_dfa(12, 2, rng), random_dfa(12, 3, rng)
+        memo, built = spied(build)
+        got = [memo(d) for d in (a, a, b, a)]
+        assert [id(d) for d in built] == [id(a), id(b), id(a)]
+        assert got[0] is got[1] and got[1] is not got[3]
+        for d, value in zip((a, a, b, a), got):
+            assert as_data(value) == as_data(build(d))
+
+    def test_equal_automata_are_built_apart(self, build):
+        a = cerny(9)
+        twin = Dfa(a.n, a.letters, a.delta, name=a.name)
+        memo, built = spied(build)
+        assert a == twin and a is not twin
+        memo(a)
+        memo(twin)
+        assert [id(d) for d in built] == [id(a), id(twin)]
+
+    def test_a_late_build_never_serves_another_automaton(self, build):
+        # a thread's build of a is held until b has been built and served;
+        # the slot that build then writes must not pair b with a's value
+        a, b = cerny(7), cerny(8)
+        held, release = threading.Event(), threading.Event()
+
+        def slow(d):
+            if d is a:
+                held.set()
+                release.wait(timeout=60)
+            return build(d)
+        memo, got = core.last_automaton(slow), []
+        t = threading.Thread(target=lambda: got.append(memo(a)))
+        t.start()
+        assert held.wait(timeout=60)
+        first_b = memo(b)
+        release.set()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        assert as_data(got[0]) == as_data(build(a))
+        assert as_data(memo(b)) == as_data(first_b) == as_data(build(b))
+
+    def test_threads_get_their_own_automatons_values(self, build):
+        # four threads, each calling on its own automaton, evict each
+        # other's slot; every call must still return its own automaton's value
+        rng = random.Random(9)
+        dfas = [random_dfa(6, 2, rng) for _ in range(4)]
+        want = [as_data(build(d)) for d in dfas]
+        assert len({repr(w) for w in want}) == len(dfas)
+        memo, _ = spied(build)
+        wrong, start = [0] * len(dfas), threading.Barrier(len(dfas))
+
+        def work(i):
+            start.wait(timeout=60)
+            for _ in range(1000):
+                if as_data(memo(dfas[i])) != want[i]:
+                    wrong[i] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(dfas))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [0] * len(dfas)
 
 
 class TestStateSet:

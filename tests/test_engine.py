@@ -1531,3 +1531,49 @@ class TestKernelDecidesSynchronization:
         monkeypatch.setattr(engine, "is_synchronizing", refuse_pair_test)
         assert [outcome(engine._meet_search, d) for d in dfas] == want
         assert NotSynchronizing in want
+
+
+def count_builds(monkeypatch):
+    """Put fresh memos over counting spies in place of the three memoized
+    builders; returns their build counts by name."""
+    counts = {}
+    for mod, name in ((core, "image_tables"), (core, "preimage_tables"),
+                      (engine, "_merge_levels")):
+        counts[name] = 0
+
+        def spy(d, name=name, build=getattr(mod, name).__wrapped__):
+            counts[name] += 1
+            return build(d)
+        monkeypatch.setattr(mod, name, core.last_automaton(spy))
+    return counts
+
+
+# a binary automaton whose letter a is a simple idempotent dropping state 0,
+# and whose b fixes state 2 away from it: 2 is a zero state (a10's zero branch)
+ZERO3 = Dfa(3, ("a", "b"), ((1, 1, 2), (0, 2, 2)))
+
+
+class TestSharedBuilds:
+    def test_one_build_each_for_the_solvers_on_one_automaton(self, monkeypatch):
+        # the benchmark's per-instance order on one random instance
+        from synchro import harness
+        d = harness.random_synchronizing(48, 2, 0)
+        counts = count_builds(monkeypatch)
+        assert engine.is_synchronizing(d)
+        engine.exact_reset_threshold(d, cap=64)
+        engine.greedy_compression_word(d, cap=64)
+        engine.reset_word_via_extension(d, cap=64)
+        assert counts == {"image_tables": 1, "preimage_tables": 1, "_merge_levels": 1}
+
+    def test_a10_zero_branch_makes_one_pair_search(self, monkeypatch):
+        counts = count_builds(monkeypatch)
+        engine.a10_binary_idempotent_word(ZERO3)
+        assert counts["_merge_levels"] == 1
+
+    @pytest.mark.parametrize("d", [ZERO3, cerny(12)], ids=["zero", "cerny"])
+    def test_callers_leave_the_shared_levels_as_built(self, d):
+        levels = engine._merge_levels(d)
+        engine.greedy_compression_word(d)
+        engine.a10_binary_idempotent_word(d)
+        assert engine._merge_levels(d) is levels
+        assert levels == engine._merge_levels.__wrapped__(d)
