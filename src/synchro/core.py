@@ -4,7 +4,7 @@ States are dense indices 0..n-1; letters are indexed by their position in
 the ordered letter-name list. State subsets are bit vectors held in
 Python ints, so they have no width limit. Everything here is immutable after
 construction and every operation is a pure function of its inputs, so values
-can be shared freely between concurrent workers. Three builders memoize their
+can be shared freely between concurrent workers. Four builders memoize their
 last automaton (last_automaton), so the solvers run on it share one build.
 """
 

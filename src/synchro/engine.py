@@ -7,6 +7,7 @@ reproduce the same words bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -205,6 +206,7 @@ def _lowest_pairs(levels, cur):
 
 
 FIT_SCAN = 8   # levels no wider than this are scanned mask by mask; 4 and 16 measured the same
+FIT_PACK = 64  # levels no wider than this, at n > 2 * core.CHUNK, are tested by one packed word
 # _ABSENT[i][v] is "1" where bit i of the byte v is clear, "0" where it is set
 _ABSENT = [(b"1" * (1 << i) + b"0" * (1 << i)) * (128 >> i) for i in range(8)]
 
@@ -212,19 +214,23 @@ _ABSENT = [(b"1" * (1 << i) + b"0" * (1 << i)) * (128 >> i) for i in range(8)]
 def _fit_test(level, n):
     """A predicate: does a mask fit inside (is it a subset of) some mask of level?
 
-    A level of at most FIT_SCAN masks is scanned: its fit tables, 256 unions
-    per 8-state chunk, would cost more to build than the scans they save. A
-    wider one gets fit tables, the union tables of absent[q], whose bit t is
-    set iff state q is not in level[t]. The union over a mask's states
-    misses bit t iff the mask fits level[t], so the mask fits some member
-    iff the union is not all ones. The union is taken one chunk at a time
-    and the test stops at the first chunk that makes it all ones: later
-    chunks only add bits, so none can clear one again. absent[q] is read off
-    the level packed into bytes, last mask first: every mask's byte q // 8,
-    translated to a binary digit by its bit q % 8.
+    Three tiers by width. A level of at most FIT_SCAN masks is scanned: its
+    fit tables, 256 unions per 8-state chunk, would cost more to build than
+    the scans they save. Up to FIT_PACK masks and n past two chunks, one
+    packed int tests every member at once (_packed_fit); at one or two
+    chunks the tables read faster. A wider level gets fit tables, the union
+    tables of absent[q], whose bit t is set iff state q is not in level[t].
+    The union over a mask's states misses bit t iff the mask fits level[t],
+    so the mask fits some member iff the union is not all ones. It is taken
+    one chunk at a time and the test stops at the first chunk that makes it
+    all ones: later chunks only add bits. absent[q] is read off the level
+    packed into bytes, last mask first: every mask's byte q // 8, translated
+    to a binary digit by its bit q % 8.
     """
     if len(level) <= FIT_SCAN:
         return _scan_fit(level)
+    if len(level) <= FIT_PACK and n > 2 * core.CHUNK:
+        return _packed_fit(level, n)
     size = (n + 7) // 8
     packed = b"".join(t.to_bytes(size, "little") for t in reversed(level))
     first, *rest = core.union_tables([int(packed[q >> 3::size].translate(_ABSENT[q & 7]), 2)
@@ -239,6 +245,22 @@ def _fit_test(level, n):
             m >>= chunk
             u |= t[m & low]
         return u != full
+    return fits
+
+
+def _packed_fit(level, n):
+    """_fit_test's predicate by one int: per member t, a byte-aligned field of
+    comp holds t's complement and a guard bit above the n states. (m | g) *
+    rep copies m and the guard bit into every field; & comp leaves each the
+    guard bit and m's states outside t, and less rep its guard bit clears
+    iff none is left, that is, iff m fits t. No field borrows from the next."""
+    size, g, top = (n >> 3) + 1, 1 << n, (2 << n) - 1
+    comp = int.from_bytes(b"".join((t ^ top).to_bytes(size, "little") for t in level), "little")
+    rep = int.from_bytes((b"\1" + bytes(size - 1)) * len(level), "little")
+    guard = rep << n
+
+    def fits(m):
+        return ((m | g) * rep & comp) - rep & guard != guard
     return fits
 
 
@@ -261,22 +283,26 @@ def _meet_search(d, pair_test_after=None):
 
     Forward levels F_0 = [Q], F_1, ... list the images of the full set Q by
     the length of their shortest word, each in least-word order. Backward
-    levels B_0 = the singletons, B_1, ... list their nonempty
-    preimages likewise. Each round expands the narrower last level, ties
-    going forward, and tests only the new level against the other side's
-    last level, so every depth pair (i, j) the search passes through is
-    tested once. A reset word of length i + j takes Q through some S in F_i
-    inside some T in B_j, or a shorter one would exist; so while no test has
-    met, rt exceeds the current i + j, and the first meet gives rt = i + j.
-    The word is the least word of the first mask of F_i that fits B_j
-    (_read_word), followed, for r = j-1, ..., 0, by the least letter whose
-    image fits B_r (_read_down; a fit at a shallower level would mean a
-    shorter reset word), and is re-run by _finish. The search decides
-    synchronization too: a frontier that empties before the sides meet
-    raises NotSynchronizing. Were rt finite, an empty F_(i+1) would mean
-    every image of Q has a shortest word of length <= i < rt, so none is a
-    singleton; an empty B_(j+1), that Q, a preimage of a singleton at depth
-    rt > j, was never reached. Preimage tables wait for a backward step.
+    levels B_0 = the singletons, B_1, ... list their nonempty preimages
+    likewise. Each round expands the narrower last level, ties going
+    forward, and tests only the new level against the other side's last
+    level, so every depth pair (i, j) the search passes through is tested
+    once; S inside T needs |S| <= |T|, so a backward level wider than
+    FIT_SCAN whose largest mask has fewer states than the smallest of F_i
+    skips its test, and its predicate is built once a forward round needs
+    it. A reset word of length i + j takes Q through some S in F_i inside
+    some T in B_j, or a shorter one would exist; so while no test has met,
+    rt exceeds the current i + j, and the first meet gives rt = i + j. The
+    word is the least word of the first mask of F_i that fits B_j
+    (_read_word, filtered by preimages once their tables exist), followed,
+    for r = j-1, ..., 0, by the least letter whose image fits B_r
+    (_read_down; a fit at a shallower level would mean a shorter reset
+    word), and is re-run by _finish. The search decides synchronization too:
+    a frontier that empties before the sides meet raises NotSynchronizing.
+    Were rt finite, an empty F_(i+1) would mean every image of Q has a
+    shortest word of length <= i < rt, so none is a singleton; an empty
+    B_(j+1), that Q, a preimage of a singleton at depth rt > j, was never
+    reached. Preimage tables wait for a backward step.
 
     That verdict can cost a search over every subset. With pair_test_after
     set, the pair test (is_synchronizing) runs once, after the first round
@@ -294,13 +320,20 @@ def _meet_search(d, pair_test_after=None):
     hit = _first_fit(fwd[0], fits)
     while hit is None:
         if len(fwd[-1]) <= len(back[-1]):
+            if fits is None:
+                fits = _fit_test(back[-1], n)
             level, hit = _step_forward(tabs, fwd[-1], fseen, fits)
             fwd.append(level)
+            least = None    # F_i's fewest states, counted once a backward round needs them
         else:
             level = _step_backward(core.preimage_tables(d), back[-1], bseen)
             back.append(level)
-            fits = _fit_test(level, n)
-            hit = _first_fit(fwd[-1], fits)
+            fits = None     # dropped before the next is built: one set of fit tables alive
+            if len(level) > FIT_SCAN and least is None:
+                least = min(map(int.bit_count, fwd[-1]))
+            if len(level) <= FIT_SCAN or max(map(int.bit_count, level)) >= least:
+                fits = _fit_test(level, n)
+                hit = _first_fit(fwd[-1], fits)
         if not level:
             raise NotSynchronizing("automaton is not synchronizing")
         if (hit is None and pair_test_after is not None
@@ -308,7 +341,8 @@ def _meet_search(d, pair_test_after=None):
             if not is_synchronizing(d):
                 raise NotSynchronizing("automaton is not synchronizing")
             pair_test_after = None
-    word = _read_word(tabs, fwd, hit) + _read_down(tabs, back[:-1], hit)
+    pre = core.preimage_tables(d) if len(back) > 1 else None
+    word = _read_word(tabs, fwd, hit, pre) + _read_down(tabs, back[:-1], hit)
     return _finish(d, word, "bfs").word
 
 
@@ -352,15 +386,20 @@ def _first_fit(masks, fits):
     return next(filter(fits, masks), None)
 
 
-def _read_word(tabs, levels, m):
+def _read_word(tabs, levels, m, pre):
     """The least word of m, a mask of levels[-1], from levels[0]. Each mask's
     parent is the first mask of the level before that some letter carries
     to it, and its letter the least such one: a level is built in (mask,
     letter) order and a mask joins it at its first discovery, so these are
-    the parent and letter _step_forward found it by."""
+    the parent and letter _step_forward found it by. With pre, the preimage
+    tables or None, a level wider than FIT_SCAN is first cut to the masks
+    inside m's one-letter preimages: a parent up with up.a = m is inside m.a^-1."""
     tables, shifts, full = tabs.tables, tabs.shifts, tabs.full
     word = []
     for level in reversed(levels[:-1]):
+        if pre is not None and len(level) > FIT_SCAN:
+            outside = ~functools.reduce(int.__or__, pre.steps(m))
+            level = [up for up in level if not up & outside]
         a, m = next((a, up) for up in level for x in [union_mask(tables, up)]
                     for a, s in enumerate(shifts) if x >> s & full == m)
         word.append(a)
@@ -510,6 +549,7 @@ def reset_word_via_extension(d, cap=core.SUBSET_BFS_CAP):
     return _finish(d, word, "extension")
 
 
+@core.last_automaton
 def _extension_word(d):
     """The extension method's reset word of d with n >= 2.
 

@@ -225,7 +225,7 @@ class TestUnionTables:
 
 # the three memoized builders, undecorated, and a comparable form of each result
 BUILDERS = [core.image_tables.__wrapped__, core.preimage_tables.__wrapped__,
-            engine._merge_levels.__wrapped__]
+            engine._merge_levels.__wrapped__, engine._extension_word.__wrapped__]
 
 
 def as_data(value):
@@ -287,11 +287,50 @@ class TestLastAutomaton:
         assert as_data(got[0]) == as_data(build(a))
         assert as_data(memo(b)) == as_data(first_b) == as_data(build(b))
 
+    def test_a_call_before_every_line_never_mixes_two_automata(self, build):
+        # a deterministic interleaving: a tracer runs memo(b) before every
+        # line of memo(a), wherever another thread could switch in. It reads
+        # no frame.f_locals, since CPython would then write that snapshot,
+        # stale after memo(b), back into memo's slot.
+        a, b = cerny(7), cerny(8)
+        memo, _ = spied(build)
+        from_b, started = [], []
+
+        def line(frame, event, arg):
+            if event == "line":
+                from_b.append(memo(b))
+            return line
+
+        def call(frame, event, arg):
+            if frame.f_code is memo.__code__ and not started:
+                started.append(True)
+                return line
+            return None
+
+        previous = sys.gettrace()
+        sys.settrace(call)
+        try:
+            got = memo(a)
+        finally:
+            sys.settrace(previous)
+        assert len(from_b) >= 3
+        assert as_data(got) == as_data(build(a))
+        assert [as_data(v) for v in from_b] == [as_data(build(b))] * len(from_b)
+
     def test_threads_get_their_own_automatons_values(self, build):
         # four threads, each calling on its own automaton, evict each
-        # other's slot; every call must still return its own automaton's value
+        # other's slot; every call must still return its own automaton's
+        # value. The automata are ones the builder takes: the extension
+        # word refuses some.
         rng = random.Random(9)
-        dfas = [random_dfa(6, 2, rng) for _ in range(4)]
+        dfas = []
+        while len(dfas) < 4:
+            d = random_dfa(6, 2, rng)
+            try:
+                build(d)
+            except core.DomainError:
+                continue
+            dfas.append(d)
         want = [as_data(build(d)) for d in dfas]
         assert len({repr(w) for w in want}) == len(dfas)
         memo, _ = spied(build)

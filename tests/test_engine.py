@@ -225,7 +225,7 @@ class TestExactResetThreshold:
     @pytest.mark.parametrize("word", [(), (0,), (1, 0, 1)])
     def test_word_is_rerun(self, monkeypatch, word):
         # a search that read a non-reset word would be a bug, not an answer
-        monkeypatch.setattr(engine, "_read_word", lambda tabs, levels, m: word)
+        monkeypatch.setattr(engine, "_read_word", lambda tabs, levels, m, pre: word)
         monkeypatch.setattr(engine, "_read_down", lambda tabs, levels, m: ())
         with pytest.raises(AssertionError, match="non-reset word"):
             engine.exact_reset_threshold(cerny(4))
@@ -1238,12 +1238,11 @@ def one_way_threshold(d):
 def meet_sides(monkeypatch, d):
     """_meet_search's word on d and the side each round expanded, "f" or "b".
 
-    A forward round steps by _step_forward; a backward round builds the new
-    level's fit test by _fit_test.
+    A forward round steps by _step_forward, a backward round by _step_backward.
     """
     sides = []
     with monkeypatch.context() as patch:
-        for name, side in (("_step_forward", "f"), ("_fit_test", "b")):
+        for name, side in (("_step_forward", "f"), ("_step_backward", "b")):
             real = getattr(engine, name)
 
             def spy(*args, real=real, side=side):
@@ -1397,6 +1396,77 @@ class TestMeetSearch:
                     engine._meet_search(d)
             assert stepped[-1] == (f"_step_{side}", [])
 
+    def test_size_screen_tests_a_level_at_its_edge(self, monkeypatch):
+        # S inside T needs |S| <= |T|: a backward level wider than FIT_SCAN
+        # is tested against F_i unless its largest mask has fewer states
+        # than the smallest of F_i. Each of these searches has a round
+        # whose level's largest mask has exactly that many states.
+        from synchro import harness
+        rounds, edges = [], 0
+        with monkeypatch.context() as patch:
+            real_forward, real_backward, real_test = (
+                engine._step_forward, engine._step_backward, engine._fit_test)
+
+            def forward(tabs, level, seen, fits):
+                out = real_forward(tabs, level, seen, fits)
+                rounds.append([out[0], None, False])
+                return out
+
+            def backward(*args):
+                out = real_backward(*args)
+                rounds.append([rounds[-1][0], out, False])
+                return out
+
+            def test(level, n):
+                rounds[-1][2] |= level is rounds[-1][1]
+                return real_test(level, n)
+
+            patch.setattr(engine, "_step_forward", forward)
+            patch.setattr(engine, "_step_backward", backward)
+            patch.setattr(engine, "_fit_test", test)
+            for n, seed in ((18, 2), (22, 0), (23, 2)):
+                d = harness.random_synchronizing(n, 2, seed)
+                rounds[:] = [[[(1 << n) - 1], None, False]]
+                word = engine._meet_search(d)
+                assert (len(word), word) == one_way_threshold(d)
+                for fwd, level, tested in rounds:
+                    if level is not None and len(level) > engine.FIT_SCAN:
+                        largest = max(map(int.bit_count, level))
+                        least = min(map(int.bit_count, fwd))
+                        assert tested == (largest >= least), (n, seed)
+                        edges += largest == least
+        assert edges >= 3
+
+    def test_read_back_filter_keeps_every_word(self, monkeypatch):
+        # _read_word with the preimage tables gives the word it gives
+        # without them, and looks up fewer candidate parents
+        from synchro import harness
+        from test_harness import RANDOM_RT
+        real_read, real_lookup = engine._read_word, engine.union_mask
+        lookups, side = {None: 0, "plain": 0, "filtered": 0}, [None]
+
+        def lookup(tables, m):
+            lookups[side[-1]] += 1
+            return real_lookup(tables, m)
+
+        def read(tabs, levels, m, pre):
+            side.append("plain")
+            plain = real_read(tabs, levels, m, None)
+            side.append("filtered")
+            word = real_read(tabs, levels, m, pre)
+            side.append(None)
+            assert word == plain
+            return word
+
+        dfas = [d for d in family_instances(16) if engine.is_synchronizing(d)]
+        dfas += [harness.random_synchronizing(n, k, s) for n, k, s in RANDOM_RT]
+        monkeypatch.setattr(engine, "_read_word", read)
+        monkeypatch.setattr(engine, "union_mask", lookup)
+        for d in dfas:
+            engine._meet_search(d)
+        assert len(side) == 1 + 3 * len(dfas) > 3 * 150
+        assert lookups["filtered"] < lookups["plain"] / 2, lookups
+
 
 class ReadCounter(list):
     """A chunk table that counts its lookups."""
@@ -1467,7 +1537,7 @@ class TestFitTest:
         # it makes the union all ones; the test reads no further chunk
         rng = random.Random(n)
         built = counting_tables(monkeypatch)
-        level = random_level(n, engine.FIT_SCAN + 1, rng, without=1)
+        level = random_level(n, table_width(n), rng, without=1)
         fits, scan = engine._fit_test(level, n), engine._scan_fit(level)
         assert len(built) == 1
         for m in fit_probes(level, n, rng):
@@ -1482,7 +1552,7 @@ class TestFitTest:
         # of six states, alone says whether a mask fits
         n, low = 70, (1 << 64) - 1
         built = counting_tables(monkeypatch)
-        level = [low | 1 << (64 + t % 6) for t in range(engine.FIT_SCAN + 1)]
+        level = [low | 1 << (64 + t % 6) for t in range(table_width(n))]
         fits = engine._fit_test(level, n)
         assert len(built) == 1 and len(built[0]) == 9 and len(built[0][-1]) == 64
         for extra, want in ((0, True), (1 << 64, True), (1 << 69, True),
@@ -1492,16 +1562,44 @@ class TestFitTest:
             assert ReadCounter.reads == 9
 
     def test_levels_wider_than_fit_scan_get_tables(self, monkeypatch):
-        # at n = 64 a level of FIT_SCAN + 1 masks is tested by fit tables,
-        # one of FIT_SCAN masks by a scan, whatever n is
-        n, rng = 64, random.Random(64)
-        built = counting_tables(monkeypatch)
-        for width, tables in ((engine.FIT_SCAN, 0), (engine.FIT_SCAN + 1, 1)):
+        # a level of FIT_SCAN masks is scanned whatever n is; above that, up
+        # to FIT_PACK masks get one packed word when n exceeds two chunks,
+        # and every other level gets fit tables
+        built, words = counting_tables(monkeypatch), []
+        real = engine._packed_fit
+
+        def packed(level, n):
+            words.append(level)
+            return real(level, n)
+
+        monkeypatch.setattr(engine, "_packed_fit", packed)
+        for n, width, tables, packs in (
+                (64, engine.FIT_SCAN, 0, 0), (64, engine.FIT_SCAN + 1, 0, 1),
+                (64, engine.FIT_PACK, 0, 1), (64, engine.FIT_PACK + 1, 1, 0),
+                (17, engine.FIT_PACK, 0, 1), (17, engine.FIT_PACK + 1, 1, 0),
+                (16, engine.FIT_SCAN, 0, 0), (16, engine.FIT_SCAN + 1, 1, 0)):
             built.clear()
-            level = random_level(n, width, rng)
+            words.clear()
+            level = random_level(n, width, random.Random(n))
             fits = engine._fit_test(level, n)
-            assert len(built) == tables, width
+            assert (len(built), len(words)) == (tables, packs), (n, width)
             assert [fits(m) for m in level + [(1 << n) - 1]] == [True] * width + [False]
+
+    @pytest.mark.parametrize("n", [17, 24, 25, 63, 64, 65, 70, 130])
+    def test_the_packed_word_agrees_with_the_scan(self, n):
+        # field widths from 3 to 17 bytes, with n at, below and above a
+        # byte boundary
+        rng = random.Random(n)
+        for width in range(engine.FIT_SCAN + 1, engine.FIT_PACK + 1):
+            level = random_level(n, width, rng)
+            fits, scan = engine._packed_fit(level, n), engine._scan_fit(level)
+            for m in fit_probes(level, n, rng):
+                assert fits(m) == scan(m), (n, width, m)
+
+
+def table_width(n):
+    """The fewest masks _fit_test gives fit tables at n states."""
+    return (engine.FIT_PACK if n > 2 * core.CHUNK else engine.FIT_SCAN) + 1
 
 
 def refuse_pair_test(d):
@@ -1534,11 +1632,11 @@ class TestKernelDecidesSynchronization:
 
 
 def count_builds(monkeypatch):
-    """Put fresh memos over counting spies in place of the three memoized
+    """Put fresh memos over counting spies in place of the four memoized
     builders; returns their build counts by name."""
     counts = {}
     for mod, name in ((core, "image_tables"), (core, "preimage_tables"),
-                      (engine, "_merge_levels")):
+                      (engine, "_merge_levels"), (engine, "_extension_word")):
         counts[name] = 0
 
         def spy(d, name=name, build=getattr(mod, name).__wrapped__):
@@ -1563,12 +1661,31 @@ class TestSharedBuilds:
         engine.exact_reset_threshold(d, cap=64)
         engine.greedy_compression_word(d, cap=64)
         engine.reset_word_via_extension(d, cap=64)
-        assert counts == {"image_tables": 1, "preimage_tables": 1, "_merge_levels": 1}
+        assert counts == {"image_tables": 1, "preimage_tables": 1, "_merge_levels": 1,
+                          "_extension_word": 1}
 
     def test_a10_zero_branch_makes_one_pair_search(self, monkeypatch):
         counts = count_builds(monkeypatch)
         engine.a10_binary_idempotent_word(ZERO3)
         assert counts["_merge_levels"] == 1
+
+    def test_a10_on_a_full_cycle_reuses_the_extension_word(self, monkeypatch):
+        # cerny-n's b is an n-cycle, so a10 takes the extension word, which
+        # the extension method has just built on the same automaton
+        d = cerny(12)
+        counts = count_builds(monkeypatch)
+        want = engine.reset_word_via_extension(d).word
+        assert engine.a10_binary_idempotent_word(d).word == want
+        assert counts["_extension_word"] == 1
+
+    def test_a_refused_extension_is_not_memoized(self, monkeypatch):
+        # no word extends {0, 1}; each call searches again and raises again
+        d = Dfa(3, ("a",), ((0, 0, 2),))
+        counts = count_builds(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(engine.NotExtensible):
+                engine._extension_word(d)
+        assert counts["_extension_word"] == 2
 
     @pytest.mark.parametrize("d", [ZERO3, cerny(12)], ids=["zero", "cerny"])
     def test_callers_leave_the_shared_levels_as_built(self, d):
