@@ -75,7 +75,7 @@ def cmd_solve(args):
         res = engine.reset_word_via_extension(d, cap=cap)
     elif args.method == "eppstein":
         order = None
-        if args.order:
+        if args.order is not None:
             try:
                 order = tuple(int(x) for x in args.order.split(","))
             except ValueError as exc:

@@ -290,19 +290,22 @@ def _meet_search(d, pair_test_after=None):
     once; S inside T needs |S| <= |T|, so a backward level wider than
     FIT_SCAN whose largest mask has fewer states than the smallest of F_i
     skips its test, and its predicate is built once a forward round needs
-    it. A reset word of length i + j takes Q through some S in F_i inside
-    some T in B_j, or a shorter one would exist; so while no test has met,
-    rt exceeds the current i + j, and the first meet gives rt = i + j. The
-    word is the least word of the first mask of F_i that fits B_j
-    (_read_word, filtered by preimages once their tables exist), followed,
-    for r = j-1, ..., 0, by the least letter whose image fits B_r
-    (_read_down; a fit at a shallower level would mean a shorter reset
-    word), and is re-run by _finish. The search decides synchronization too:
-    a frontier that empties before the sides meet raises NotSynchronizing.
-    Were rt finite, an empty F_(i+1) would mean every image of Q has a
-    shortest word of length <= i < rt, so none is a singleton; an empty
-    B_(j+1), that Q, a preimage of a singleton at depth rt > j, was never
-    reached. Preimage tables wait for a backward step.
+    it. A backward level narrower than F_i queries its masks' complements
+    against one predicate over those of F_i's (S inside T iff Q - T inside
+    Q - S), kept until the next forward round, and gets its own only when
+    it meets; one predicate is alive at a time. A reset word of length i + j
+    takes Q through some S in F_i inside some T in B_j, or a shorter one
+    would exist; so while no test has met, rt exceeds the current i + j,
+    and the first meet gives rt = i + j. The word is the least word of the
+    first mask of F_i that fits B_j (_read_word, filtered by preimages once
+    their tables exist), followed, for r = j-1, ..., 0, by the least letter
+    whose image fits B_r (_read_down; a fit at a shallower level would mean
+    a shorter reset word), and is re-run by _finish. The search decides
+    synchronization too: a frontier that empties before the sides meet
+    raises NotSynchronizing. Were rt finite, an empty F_(i+1) would mean
+    every image of Q has a shortest word of length <= i < rt, so none is a
+    singleton; an empty B_(j+1), that Q, a preimage of a singleton at depth
+    rt > j, was never reached. Preimage tables wait for a backward step.
 
     That verdict can cost a search over every subset. With pair_test_after
     set, the pair test (is_synchronizing) runs once, after the first round
@@ -317,23 +320,28 @@ def _meet_search(d, pair_test_after=None):
     fwd, back = [[full]], [[1 << q for q in range(n)]]
     fseen, bseen = {full}, set(back[0])
     fits = _is_singleton    # what fits B_0, images being nonempty
-    hit = _first_fit(fwd[0], fits)
+    hit = next(filter(fits, fwd[0]), None)
     while hit is None:
         if len(fwd[-1]) <= len(back[-1]):
+            least = covers = None   # F_i's, made once a backward round needs them
             if fits is None:
                 fits = _fit_test(back[-1], n)
             level, hit = _step_forward(tabs, fwd[-1], fseen, fits)
             fwd.append(level)
-            least = None    # F_i's fewest states, counted once a backward round needs them
         else:
             level = _step_backward(core.preimage_tables(d), back[-1], bseen)
             back.append(level)
-            fits = None     # dropped before the next is built: one set of fit tables alive
+            fits = None     # dropped before the next is built: one predicate alive
             if len(level) > FIT_SCAN and least is None:
                 least = min(map(int.bit_count, fwd[-1]))
             if len(level) <= FIT_SCAN or max(map(int.bit_count, level)) >= least:
-                fits = _fit_test(level, n)
-                hit = _first_fit(fwd[-1], fits)
+                narrow = 0 < len(level) < len(fwd[-1])   # an empty one is refused below
+                if narrow:
+                    covers = covers or _fit_test([full ^ s for s in fwd[-1]], n)
+                if not narrow or any(covers(full ^ t) for t in level):
+                    covers = None
+                    fits = _fit_test(level, n)
+                    hit = next(filter(fits, fwd[-1]), None)
         if not level:
             raise NotSynchronizing("automaton is not synchronizing")
         if (hit is None and pair_test_after is not None
@@ -381,11 +389,6 @@ def _step_backward(pre, level, seen, inside=0):
     return nxt
 
 
-def _first_fit(masks, fits):
-    """The first of masks that fits, or None."""
-    return next(filter(fits, masks), None)
-
-
 def _read_word(tabs, levels, m, pre):
     """The least word of m, a mask of levels[-1], from levels[0]. Each mask's
     parent is the first mask of the level before that some letter carries
@@ -410,13 +413,22 @@ def _read_word(tabs, levels, m, pre):
 def _read_down(tabs, levels, m):
     """A word carrying m into a mask of levels[0], one level per letter: for
     each of levels from the last to the first, the least letter whose image
-    of the current mask fits that level. tabs are image tables."""
+    of the current mask fits that level, by a scan: k images are too few to
+    pay for its fit tables. tabs are image tables; no fit raises AssertionError."""
+    tables, shifts, full = tabs.tables, tabs.shifts, tabs.full
     word = []
     for level in reversed(levels):
-        # at most k masks are tested against each level here, too few to
-        # pay for its fit tables
-        fits = _scan_fit(level)
-        a, m = next((a, m2) for a, m2 in enumerate(tabs.steps(m)) if fits(m2))
+        x = union_mask(tables, m)
+        for a, s in enumerate(shifts):
+            m = x >> s & full
+            for t in level:
+                if m | t == t:
+                    break
+            else:
+                continue
+            break
+        else:
+            raise AssertionError("no letter carries the mask into the level")
         word.append(a)
     return tuple(word)
 

@@ -3,10 +3,10 @@
 Element identity is the transformation array itself; witness words are kept
 for diagnostics only. Only the closure and the ideal checks multiply
 elements. A predicate on one element reads that map's own functional graph:
-its powers are fixed by its cycles (core.cycles_of), and it is idempotent
-iff it fixes its image. Ideal computations follow the literal principal-ideal
-implication over the closure, with interning; a class is regular iff it
-holds an idempotent.
+its powers are fixed by its cycles, and it is idempotent iff it fixes its
+image. Ideal computations follow the literal principal-ideal implication
+over the closure, with interning; a class is regular iff it holds an
+idempotent.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from synchro.core import (
-    CapExceeded, Verdict, capped, compose, cycles_of, is_idempotent,
+    CapExceeded, Verdict, capped, compose, is_idempotent,
     strongly_connected_components,
 )
 
@@ -81,12 +81,19 @@ def is_aperiodic(m):
     """Every element's power sequence stabilizes (no nontrivial subgroup).
 
     The powers of t are eventually periodic with period the lcm of t's cycle
-    lengths, so they stabilize iff every cycle of t is a fixed point. The
-    witness of "out" is the word of the first element with a longer cycle.
+    lengths, so they stabilize iff every cycle of t is a fixed point: a walk
+    that meets its own mark (core.cycles_of's) closes a cycle, longer than
+    one iff its state moves. "out" carries the first such element's word.
     """
     for i, t in enumerate(m.elements):
-        if any(len(cyc) > 1 for cyc in cycles_of(t)):
-            return Verdict("out", witness=list(m.words[i]))
+        walk = [-1] * m.n
+        for q0 in range(m.n):
+            q = q0
+            while walk[q] < 0:
+                walk[q] = q0
+                q = t[q]
+            if walk[q] == q0 and t[q] != q:
+                return Verdict("out", witness=list(m.words[i]))
     return Verdict("in", witness=len(m))
 
 

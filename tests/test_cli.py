@@ -150,6 +150,12 @@ class TestSolveAndRt:
         assert code == 2 and out == ""
         assert "'x'" in err
 
+    def test_empty_order_exits_2(self, capsys, c4):
+        # an empty order is an order with one empty entry, not the default
+        code, out, err = run(capsys, "solve", c4, "--method", "eppstein", "--order", "")
+        assert code == 2 and out == ""
+        assert "--order" in err and "''" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("method", ["bfs", "greedy", "extension", "a10", "c7"])
     @pytest.mark.parametrize("order", ["0,1,2,3", "x"])
     def test_order_on_another_method_exits_2(self, capsys, c4, method, order):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 
@@ -216,6 +217,11 @@ class TestExactResetThreshold:
             assert engine.exact_reset_threshold(d) == min(backward)
             levels, hit = engine._backward_search(pre, [1 << q for q in range(d.n)], d.n - 1)
             assert engine._read_down(tabs, levels[:-1], hit) == min(backward)[1]
+
+    def test_read_down_with_no_fitting_letter_raises(self):
+        # cerny-4 carries {1, 2} to {1, 2} and {2, 3}, neither inside {0}
+        with pytest.raises(AssertionError, match="no letter carries"):
+            engine._read_down(core.image_tables(cerny(4)), [[0b0001]], 0b0110)
 
     def test_not_synchronizing(self):
         d = Dfa(2, ("a", "b"), ((0, 1), (1, 0)))
@@ -1399,8 +1405,10 @@ class TestMeetSearch:
     def test_size_screen_tests_a_level_at_its_edge(self, monkeypatch):
         # S inside T needs |S| <= |T|: a backward level wider than FIT_SCAN
         # is tested against F_i unless its largest mask has fewer states
-        # than the smallest of F_i. Each of these searches has a round
-        # whose level's largest mask has exactly that many states.
+        # than the smallest of F_i. A level is tested if it gets its own
+        # predicate or if its masks are queried against the one over F_i's
+        # complements. Each of these searches has a round whose level's
+        # largest mask has exactly that many states.
         from synchro import harness
         rounds, edges = [], 0
         with monkeypatch.context() as patch:
@@ -1418,8 +1426,17 @@ class TestMeetSearch:
                 return out
 
             def test(level, n):
-                rounds[-1][2] |= level is rounds[-1][1]
-                return real_test(level, n)
+                fwd, back = rounds[-1][:2]
+                rounds[-1][2] |= level is back
+                fits, full = real_test(level, n), (1 << n) - 1
+                if back is None or sorted(level) != sorted(full ^ s for s in fwd):
+                    return fits
+
+                def covers(m):
+                    # kept across rounds: the query marks the round it is in
+                    rounds[-1][2] |= full ^ m in rounds[-1][1]
+                    return fits(m)
+                return covers
 
             patch.setattr(engine, "_step_forward", forward)
             patch.setattr(engine, "_step_backward", backward)
@@ -1436,6 +1453,56 @@ class TestMeetSearch:
                         assert tested == (largest >= least), (n, seed)
                         edges += largest == least
         assert edges >= 3
+
+    def test_narrow_backward_rounds_query_the_forward_level(self, monkeypatch):
+        # a backward level narrower than F_i gets no predicate of its own
+        # unless it meets: its masks are queried against one predicate over
+        # the complements of F_i's, built at most once per forward level.
+        # No two fit predicates are alive at once.
+        from synchro import families
+        rounds, built, alive = [], [], []
+        real_forward, real_backward, real_test = (
+            engine._step_forward, engine._step_backward, engine._fit_test)
+
+        def forward(tabs, level, seen, fits):
+            out = real_forward(tabs, level, seen, fits)
+            rounds.append((out[0], None))
+            return out
+
+        def backward(*args):
+            out = real_backward(*args)
+            rounds.append((rounds[-1][0], out))
+            return out
+
+        def test(level, n):
+            assert all(ref() is None for ref in alive)
+            fits = real_test(level, n)
+            alive.append(weakref.ref(fits))
+            full = (1 << n) - 1
+            fwd = rounds[-1][0]
+            built.append((level, fwd if sorted(level) == sorted(full ^ s for s in fwd) else None))
+            return fits
+
+        monkeypatch.setattr(engine, "_step_forward", forward)
+        monkeypatch.setattr(engine, "_step_backward", backward)
+        monkeypatch.setattr(engine, "_fit_test", test)
+        narrow = 0
+        for n in range(8, 17):
+            for d in (cerny(n), families.gen_dnk(n, n - 1).dfa):
+                rounds[:] = [([(1 << n) - 1], None)]
+                built.clear()
+                word = engine._meet_search(d)
+                assert (len(word), word) == one_way_threshold(d), d.name
+                for i, (fwd, back) in enumerate(rounds):
+                    if back is not None and len(back) < len(fwd):
+                        narrow += 1
+                        own = any(level is back for level, _ in built)
+                        assert own == (i == len(rounds) - 1), (d.name, i)
+                over = [id(fwd) for _, fwd in built if fwd is not None]
+                assert over and len(over) == len(set(over)), d.name
+        # every search builds two: over F_i's complements, and over the
+        # level that meets
+        assert narrow > 1000 and len(alive) == 2 * 18
 
     def test_read_back_filter_keeps_every_word(self, monkeypatch):
         # _read_word with the preimage tables gives the word it gives

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,21 @@ def test_rt_routes_repeats_below_one_exits_2(monkeypatch, capsys, repeats):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--repeats" in err and "Traceback" not in err
+
+
+def test_rt_routes_counts_the_fit_work(monkeypatch, capsys):
+    rt_routes = load_tool(monkeypatch, "rt_routes")
+    real = rt_routes.engine._fit_test
+    assert rt_routes.main(["--repeats", "1"]) == 0
+    assert rt_routes.engine._fit_test is real
+    rows = json.loads(capsys.readouterr().out)["instances"]
+    assert len(rows) == 19
+    for row in rows:
+        assert 2 <= row["fit_predicates"] < row["fit_tests"], row["instance"]
+        if row["instance"].startswith("cerny-"):
+            # cerny's backward levels are all narrower than F_i: one
+            # predicate over F_i's complements, one over the level that meets
+            assert row["fit_predicates"] == 2, row["instance"]
 
 
 def test_bench_pairs_records_name_the_tree(monkeypatch, tmp_path):

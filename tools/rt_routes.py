@@ -13,6 +13,10 @@ Per instance, the best of --repeats wall times (time.perf_counter) of
     engine.is_synchronizing only if its two sides see more than k*n(n-1)/2
     masks before they meet;
 and their ratio. Both routes must give the same word, or the script exits 1.
+One more, untimed call of the bidirectional route, with engine._fit_test
+wrapped, counts the fit predicates it builds (fit_predicates) and the fit
+tests they answer (fit_tests); the singleton test of B_0 is no fit
+predicate and is not counted.
 A --repeats below 1 exits 2.
 Prints one JSON object.
 """
@@ -43,6 +47,27 @@ def best(fn, d, repeats):
     return min(times), out
 
 
+def fit_work(d):
+    """(fit predicates built, fit tests made) by one exact_reset_threshold call."""
+    counts, real = [0, 0], engine._fit_test
+
+    def build(level, n):
+        fits = real(level, n)
+        counts[0] += 1
+
+        def counted(m):
+            counts[1] += 1
+            return fits(m)
+        return counted
+
+    engine._fit_test = build
+    try:
+        engine.exact_reset_threshold(d)
+    finally:
+        engine._fit_test = real
+    return tuple(counts)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeats", type=int, default=5)
@@ -57,10 +82,13 @@ def main(argv=None):
         if w1 != w2:
             print(f"rt_routes: {d.name}: the routes give different words", file=sys.stderr)
             return 1
+        predicates, tests = fit_work(d)
         rows.append({"instance": d.name, "n": d.n, "k": d.k, "rt": rt,
-                     "one_way_s": t1, "bidirectional_s": t2, "ratio": t2 / t1})
+                     "one_way_s": t1, "bidirectional_s": t2, "ratio": t2 / t1,
+                     "fit_predicates": predicates, "fit_tests": tests})
     print(json.dumps({
-        "what": "best of %d wall times per route, seconds" % args.repeats,
+        "what": "best of %d wall times per route, seconds; fit predicates built and "
+                "fit tests made by one untimed bidirectional call" % args.repeats,
         "command": "python3 tools/rt_routes.py --repeats %d" % args.repeats,
         "host": f"{os.cpu_count()}-CPU {platform.system()} {platform.machine()}, "
                 f"Python {platform.python_version()}",
