@@ -205,8 +205,7 @@ def _lowest_pairs(levels, cur):
             return pairs
 
 
-FIT_SCAN = 8   # levels no wider than this are scanned mask by mask; 4 and 16 measured the same
-FIT_PACK = 64  # levels no wider than this, at n > 2 * core.CHUNK, are tested by one packed word
+FIT_PACK = 64  # levels no wider than this are tested by one packed word
 # _ABSENT[i][v] is "1" where bit i of the byte v is clear, "0" where it is set
 _ABSENT = [(b"1" * (1 << i) + b"0" * (1 << i)) * (128 >> i) for i in range(8)]
 
@@ -214,12 +213,11 @@ _ABSENT = [(b"1" * (1 << i) + b"0" * (1 << i)) * (128 >> i) for i in range(8)]
 def _fit_test(level, n):
     """A predicate: does a mask fit inside (is it a subset of) some mask of level?
 
-    Three tiers by width. A level of at most FIT_SCAN masks is scanned: its
-    fit tables, 256 unions per 8-state chunk, would cost more to build than
-    the scans they save. Up to FIT_PACK masks and n past two chunks, one
-    packed int tests every member at once (_packed_fit); at one or two
-    chunks the tables read faster. A wider level gets fit tables, the union
-    tables of absent[q], whose bit t is set iff state q is not in level[t].
+    Two tiers by width. A level of at most FIT_PACK masks, the empty one
+    included, is tested by one packed int that holds every member at once
+    (_packed_fit): it costs one multiply per test and no tables. A wider
+    level gets fit tables, 256 unions per 8-state chunk: the union tables
+    of absent[q], whose bit t is set iff state q is not in level[t].
     The union over a mask's states misses bit t iff the mask fits level[t],
     so the mask fits some member iff the union is not all ones. It is taken
     one chunk at a time and the test stops at the first chunk that makes it
@@ -227,9 +225,7 @@ def _fit_test(level, n):
     packed into bytes, last mask first: every mask's byte q // 8, translated
     to a binary digit by its bit q % 8.
     """
-    if len(level) <= FIT_SCAN:
-        return _scan_fit(level)
-    if len(level) <= FIT_PACK and n > 2 * core.CHUNK:
+    if len(level) <= FIT_PACK:
         return _packed_fit(level, n)
     size = (n + 7) // 8
     packed = b"".join(t.to_bytes(size, "little") for t in reversed(level))
@@ -264,16 +260,6 @@ def _packed_fit(level, n):
     return fits
 
 
-def _scan_fit(level):
-    """The same predicate as _fit_test's, by a scan of the level."""
-    def fits(m):
-        for t in level:
-            if not m & ~t:
-                return True
-        return False
-    return fits
-
-
 def _is_singleton(m):
     return not m & (m - 1)
 
@@ -287,18 +273,16 @@ def _meet_search(d, pair_test_after=None):
     likewise. Each round expands the narrower last level, ties going
     forward, and tests only the new level against the other side's last
     level, so every depth pair (i, j) the search passes through is tested
-    once; S inside T needs |S| <= |T|, so a backward level wider than
-    FIT_SCAN whose largest mask has fewer states than the smallest of F_i
-    skips its test, and its predicate is built once a forward round needs
-    it. A backward level narrower than F_i queries its masks' complements
+    once. A backward level narrower than F_i queries its masks' complements
     against one predicate over those of F_i's (S inside T iff Q - T inside
     Q - S), kept until the next forward round, and gets its own only when
-    it meets; one predicate is alive at a time. A reset word of length i + j
-    takes Q through some S in F_i inside some T in B_j, or a shorter one
-    would exist; so while no test has met, rt exceeds the current i + j,
-    and the first meet gives rt = i + j. The word is the least word of the
-    first mask of F_i that fits B_j (_read_word, filtered by preimages once
-    their tables exist), followed, for r = j-1, ..., 0, by the least letter
+    it meets, else once a forward round needs it; one predicate is alive
+    at a time. A reset word of length i + j takes Q through some S in F_i
+    inside some T in B_j, or a shorter one would exist; so while no test
+    has met, rt exceeds the current i + j, and the first meet gives
+    rt = i + j. The word is the least word of the first mask of F_i that
+    fits B_j (_read_word, filtered by preimages once their tables exist),
+    followed, for r = j-1, ..., 0, by the least letter
     whose image fits B_r (_read_down; a fit at a shallower level would mean
     a shorter reset word), and is re-run by _finish. The search decides
     synchronization too: a frontier that empties before the sides meet
@@ -323,7 +307,7 @@ def _meet_search(d, pair_test_after=None):
     hit = next(filter(fits, fwd[0]), None)
     while hit is None:
         if len(fwd[-1]) <= len(back[-1]):
-            least = covers = None   # F_i's, made once a backward round needs them
+            covers = None   # over F_i's complements, made once a backward round needs it
             if fits is None:
                 fits = _fit_test(back[-1], n)
             level, hit = _step_forward(tabs, fwd[-1], fseen, fits)
@@ -332,16 +316,13 @@ def _meet_search(d, pair_test_after=None):
             level = _step_backward(core.preimage_tables(d), back[-1], bseen)
             back.append(level)
             fits = None     # dropped before the next is built: one predicate alive
-            if len(level) > FIT_SCAN and least is None:
-                least = min(map(int.bit_count, fwd[-1]))
-            if len(level) <= FIT_SCAN or max(map(int.bit_count, level)) >= least:
-                narrow = 0 < len(level) < len(fwd[-1])   # an empty one is refused below
-                if narrow:
-                    covers = covers or _fit_test([full ^ s for s in fwd[-1]], n)
-                if not narrow or any(covers(full ^ t) for t in level):
-                    covers = None
-                    fits = _fit_test(level, n)
-                    hit = next(filter(fits, fwd[-1]), None)
+            narrow = 0 < len(level) < len(fwd[-1])   # an empty one is refused below
+            if narrow:
+                covers = covers or _fit_test([full ^ s for s in fwd[-1]], n)
+            if not narrow or any(covers(full ^ t) for t in level):
+                covers = None
+                fits = _fit_test(level, n)
+                hit = next(filter(fits, fwd[-1]), None)
         if not level:
             raise NotSynchronizing("automaton is not synchronizing")
         if (hit is None and pair_test_after is not None
@@ -395,12 +376,12 @@ def _read_word(tabs, levels, m, pre):
     to it, and its letter the least such one: a level is built in (mask,
     letter) order and a mask joins it at its first discovery, so these are
     the parent and letter _step_forward found it by. With pre, the preimage
-    tables or None, a level wider than FIT_SCAN is first cut to the masks
-    inside m's one-letter preimages: a parent up with up.a = m is inside m.a^-1."""
+    tables or None, each level is first cut to the masks inside m's
+    one-letter preimages: a parent up with up.a = m is inside m.a^-1."""
     tables, shifts, full = tabs.tables, tabs.shifts, tabs.full
     word = []
     for level in reversed(levels[:-1]):
-        if pre is not None and len(level) > FIT_SCAN:
+        if pre is not None:
             outside = ~functools.reduce(int.__or__, pre.steps(m))
             level = [up for up in level if not up & outside]
         a, m = next((a, up) for up in level for x in [union_mask(tables, up)]

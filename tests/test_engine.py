@@ -1402,58 +1402,6 @@ class TestMeetSearch:
                     engine._meet_search(d)
             assert stepped[-1] == (f"_step_{side}", [])
 
-    def test_size_screen_tests_a_level_at_its_edge(self, monkeypatch):
-        # S inside T needs |S| <= |T|: a backward level wider than FIT_SCAN
-        # is tested against F_i unless its largest mask has fewer states
-        # than the smallest of F_i. A level is tested if it gets its own
-        # predicate or if its masks are queried against the one over F_i's
-        # complements. Each of these searches has a round whose level's
-        # largest mask has exactly that many states.
-        from synchro import harness
-        rounds, edges = [], 0
-        with monkeypatch.context() as patch:
-            real_forward, real_backward, real_test = (
-                engine._step_forward, engine._step_backward, engine._fit_test)
-
-            def forward(tabs, level, seen, fits):
-                out = real_forward(tabs, level, seen, fits)
-                rounds.append([out[0], None, False])
-                return out
-
-            def backward(*args):
-                out = real_backward(*args)
-                rounds.append([rounds[-1][0], out, False])
-                return out
-
-            def test(level, n):
-                fwd, back = rounds[-1][:2]
-                rounds[-1][2] |= level is back
-                fits, full = real_test(level, n), (1 << n) - 1
-                if back is None or sorted(level) != sorted(full ^ s for s in fwd):
-                    return fits
-
-                def covers(m):
-                    # kept across rounds: the query marks the round it is in
-                    rounds[-1][2] |= full ^ m in rounds[-1][1]
-                    return fits(m)
-                return covers
-
-            patch.setattr(engine, "_step_forward", forward)
-            patch.setattr(engine, "_step_backward", backward)
-            patch.setattr(engine, "_fit_test", test)
-            for n, seed in ((18, 2), (22, 0), (23, 2)):
-                d = harness.random_synchronizing(n, 2, seed)
-                rounds[:] = [[[(1 << n) - 1], None, False]]
-                word = engine._meet_search(d)
-                assert (len(word), word) == one_way_threshold(d)
-                for fwd, level, tested in rounds:
-                    if level is not None and len(level) > engine.FIT_SCAN:
-                        largest = max(map(int.bit_count, level))
-                        least = min(map(int.bit_count, fwd))
-                        assert tested == (largest >= least), (n, seed)
-                        edges += largest == least
-        assert edges >= 3
-
     def test_narrow_backward_rounds_query_the_forward_level(self, monkeypatch):
         # a backward level narrower than F_i gets no predicate of its own
         # unless it meets: its masks are queried against one predicate over
@@ -1576,6 +1524,16 @@ def fit_probes(level, n, rng):
     return probes
 
 
+def scan_fit(level):
+    """The reference for engine._fit_test's predicate: a scan of the level."""
+    def fits(m):
+        for t in level:
+            if not m & ~t:
+                return True
+        return False
+    return fits
+
+
 def random_level(n, width, rng, without=0):
     """width distinct nonempty masks over n states, none holding a state of
     without, in random order."""
@@ -1592,9 +1550,10 @@ class TestFitTest:
     @pytest.mark.parametrize("n", [4, 8, 9, 13, 16, 17, 64, 70])
     def test_tables_agree_with_the_scan(self, n):
         rng = random.Random(n)
-        for width in sorted({min(w, 2 ** n - 1) for w in (1, 8, 9, n, n + 1, 3 * n)}):
+        widths = (0, 1, 8, 9, n, n + 1, 3 * n, engine.FIT_PACK + 1, 2 * engine.FIT_PACK)
+        for width in sorted({min(w, 2 ** n - 1) for w in widths}):
             level = random_level(n, width, rng)
-            fits, scan = engine._fit_test(level, n), engine._scan_fit(level)
+            fits, scan = engine._fit_test(level, n), scan_fit(level)
             for m in fit_probes(level, n, rng):
                 assert fits(m) == scan(m), (n, width, m)
 
@@ -1604,8 +1563,8 @@ class TestFitTest:
         # it makes the union all ones; the test reads no further chunk
         rng = random.Random(n)
         built = counting_tables(monkeypatch)
-        level = random_level(n, table_width(n), rng, without=1)
-        fits, scan = engine._fit_test(level, n), engine._scan_fit(level)
+        level = random_level(n, engine.FIT_PACK + 1, rng, without=1)
+        fits, scan = engine._fit_test(level, n), scan_fit(level)
         assert len(built) == 1
         for m in fit_probes(level, n, rng):
             ReadCounter.reads = 0
@@ -1619,19 +1578,19 @@ class TestFitTest:
         # of six states, alone says whether a mask fits
         n, low = 70, (1 << 64) - 1
         built = counting_tables(monkeypatch)
-        level = [low | 1 << (64 + t % 6) for t in range(table_width(n))]
+        level = [low | 1 << (64 + t % 6) for t in range(engine.FIT_PACK + 1)]
         fits = engine._fit_test(level, n)
         assert len(built) == 1 and len(built[0]) == 9 and len(built[0][-1]) == 64
         for extra, want in ((0, True), (1 << 64, True), (1 << 69, True),
                             (3 << 64, False), (1 << 64 | 1 << 69, False)):
             ReadCounter.reads = 0
-            assert fits(low | extra) == want == engine._scan_fit(level)(low | extra)
+            assert fits(low | extra) == want == scan_fit(level)(low | extra)
             assert ReadCounter.reads == 9
 
-    def test_levels_wider_than_fit_scan_get_tables(self, monkeypatch):
-        # a level of FIT_SCAN masks is scanned whatever n is; above that, up
-        # to FIT_PACK masks get one packed word when n exceeds two chunks,
-        # and every other level gets fit tables
+    def test_levels_wider_than_fit_pack_get_tables(self, monkeypatch):
+        # up to FIT_PACK masks get one packed word and a wider level gets fit
+        # tables, whatever n is. Masks may repeat: 5 states have no 65
+        # distinct nonempty subsets, and a repeat changes no answer.
         built, words = counting_tables(monkeypatch), []
         real = engine._packed_fit
 
@@ -1640,33 +1599,28 @@ class TestFitTest:
             return real(level, n)
 
         monkeypatch.setattr(engine, "_packed_fit", packed)
-        for n, width, tables, packs in (
-                (64, engine.FIT_SCAN, 0, 0), (64, engine.FIT_SCAN + 1, 0, 1),
-                (64, engine.FIT_PACK, 0, 1), (64, engine.FIT_PACK + 1, 1, 0),
-                (17, engine.FIT_PACK, 0, 1), (17, engine.FIT_PACK + 1, 1, 0),
-                (16, engine.FIT_SCAN, 0, 0), (16, engine.FIT_SCAN + 1, 1, 0)):
-            built.clear()
-            words.clear()
-            level = random_level(n, width, random.Random(n))
-            fits = engine._fit_test(level, n)
-            assert (len(built), len(words)) == (tables, packs), (n, width)
-            assert [fits(m) for m in level + [(1 << n) - 1]] == [True] * width + [False]
+        for n in (5, 16, 17, 64):
+            rng, full = random.Random(n), (1 << n) - 1
+            for width, tables, packs in ((engine.FIT_PACK, 0, 1), (engine.FIT_PACK + 1, 1, 0)):
+                built.clear()
+                words.clear()
+                level = [rng.randrange(1, full) for _ in range(width)]
+                fits = engine._fit_test(level, n)
+                assert (len(built), len(words)) == (tables, packs), (n, width)
+                assert [fits(m) for m in level + [full]] == [True] * width + [False]
 
-    @pytest.mark.parametrize("n", [17, 24, 25, 63, 64, 65, 70, 130])
+    @pytest.mark.parametrize("n", list(range(1, 17)) + [17, 24, 25, 63, 64, 65, 70, 130])
     def test_the_packed_word_agrees_with_the_scan(self, n):
-        # field widths from 3 to 17 bytes, with n at, below and above a
-        # byte boundary
+        # field widths from 1 to 17 bytes, with n at, below and above a byte
+        # boundary, and every width up to FIT_PACK, the empty level included;
+        # where n has fewer nonempty masks, the level repeats them
         rng = random.Random(n)
-        for width in range(engine.FIT_SCAN + 1, engine.FIT_PACK + 1):
-            level = random_level(n, width, rng)
-            fits, scan = engine._packed_fit(level, n), engine._scan_fit(level)
+        for width in range(engine.FIT_PACK + 1):
+            level = random_level(n, min(width, 2 ** n - 1), rng)
+            level = (level * width)[:width]
+            fits, scan = engine._packed_fit(level, n), scan_fit(level)
             for m in fit_probes(level, n, rng):
                 assert fits(m) == scan(m), (n, width, m)
-
-
-def table_width(n):
-    """The fewest masks _fit_test gives fit tables at n states."""
-    return (engine.FIT_PACK if n > 2 * core.CHUNK else engine.FIT_SCAN) + 1
 
 
 def refuse_pair_test(d):

@@ -100,3 +100,48 @@ def test_bench_pairs_host_names_the_bytecode_setting(monkeypatch):
         else:
             monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
         assert bench_pairs.describe_host().endswith("PYTHONDONTWRITEBYTECODE unset")
+
+
+def test_ablate_switches_apply_once_to_the_library(monkeypatch):
+    ablate = load_tool(monkeypatch, "ablate")
+    assert len({switch.name for switch in ablate.SWITCHES}) == len(ablate.SWITCHES) >= 5
+    for switch in ablate.SWITCHES:
+        assert ablate.stale(switch) is None, switch.name
+        assert switch.old != switch.new, switch.name
+
+
+# an old text that the library does not hold, and one it holds many times
+@pytest.mark.parametrize("old", ["a text the library does not hold", "def "])
+def test_ablate_stale_switch_exits_3_before_timing(monkeypatch, capsys, old):
+    ablate = load_tool(monkeypatch, "ablate")
+    stale = ablate.Switch("stale", "synchro/engine.py", old, "", "random_exact")
+    monkeypatch.setattr(ablate, "SWITCHES", ablate.SWITCHES + (stale,))
+
+    def refuse(*args):
+        raise AssertionError("a process ran")
+
+    monkeypatch.setattr(ablate, "run_worker", refuse)
+    monkeypatch.setattr(ablate, "copy_src", refuse)
+    assert ablate.main(["--rounds", "1", "--passes", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'stale' is stale" in captured.err
+
+
+def test_ablate_changed_outputs_exit_3(monkeypatch, capsys, tmp_path):
+    # a copy whose outputs differ from the library's is refused, not timed
+    ablate = load_tool(monkeypatch, "ablate")
+    monkeypatch.setattr(ablate, "SRC", str(tmp_path / "src"))
+    (tmp_path / "src" / "synchro").mkdir(parents=True)
+    (tmp_path / "src" / "synchro" / "x.py").write_text("A = 1\n")
+    monkeypatch.setattr(ablate, "SWITCHES", (   # the fake run reads the stripped file
+        ablate.Switch("same", "synchro/x.py", "A = 1", "A = 1 ", "g"),
+        ablate.Switch("other", "synchro/x.py", "A = 1", "A = 2", "g")))
+
+    def run(src, passes, group):
+        with open(f"{src}/synchro/x.py") as f:
+            return 0.001, f.read().strip()
+
+    monkeypatch.setattr(ablate, "run_worker", run)
+    assert ablate.main(["--rounds", "2", "--passes", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'other' changes the outputs of g" in captured.err
