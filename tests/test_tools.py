@@ -122,7 +122,7 @@ def test_ablate_stale_switch_exits_3_before_timing(monkeypatch, capsys, old):
 
     monkeypatch.setattr(ablate, "run_worker", refuse)
     monkeypatch.setattr(ablate, "copy_src", refuse)
-    assert ablate.main(["--rounds", "1", "--passes", "1"]) == 3
+    assert ablate.main() == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "'stale' is stale" in captured.err
 
@@ -137,11 +137,11 @@ def test_ablate_changed_outputs_exit_3(monkeypatch, capsys, tmp_path):
         ablate.Switch("same", "synchro/x.py", "A = 1", "A = 1 ", "g"),
         ablate.Switch("other", "synchro/x.py", "A = 1", "A = 2", "g")))
 
-    def run(src, passes, group):
+    def run(src, group):
         with open(f"{src}/synchro/x.py") as f:
             return 0.001, f.read().strip()
 
     monkeypatch.setattr(ablate, "run_worker", run)
-    assert ablate.main(["--rounds", "2", "--passes", "1"]) == 3
+    assert ablate.main() == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "'other' changes the outputs of g" in captured.err

@@ -1,14 +1,14 @@
 """The ablation ledger: what each acceleration of the exact search costs when taken out.
 
-    python3 tools/ablate.py [--rounds 10] [--passes 9] > ledger.jsonl
+    python3 tools/ablate.py > ledger.jsonl
 
 Each switch below is a named edit (file under src/, old text, new text) that
 takes one acceleration out of the library and leaves every word the same. It
 is applied to a temporary copy of src/, never to the library itself, so the
 library carries no knob for it. The library as it stands (head) and each
-copy run in fresh processes, --rounds of each, alternating: head first in
+copy run in fresh processes, ROUNDS of each, alternating: head first in
 even rounds and last in odd ones. A process times one job group, the one
-its switch names (head runs once per group), as the best of --passes
+its switch names (head runs once per group), as the best of PASSES
 time.process_time passes, each over automata built afresh, so no memo
 carries over from the pass before. The job groups:
   random_exact        exact_reset_threshold on each automaton of perfbench's
@@ -23,12 +23,11 @@ Prints one JSON line per switch: the group, the medians over the rounds of
 head's and the copy's best times, their quartiles, and the copy's change
 against head. Exits 3 before anything is timed when a switch's old text does
 not occur exactly once in its file, and exits 3 when a copy's outputs differ
-from head's or a process fails. A --rounds or --passes below 1 exits 2.
+from head's or a process fails.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import hashlib
 import json
@@ -46,6 +45,9 @@ sys.path[:0] = [os.path.join(ROOT, "perfbench"), TOOLS]
 
 from bench_pairs import quartiles  # noqa: E402
 from workloads import EXTREMAL, RANDOM, RANDOM_CAP, _extremal_solvers  # noqa: E402
+
+ROUNDS = 10   # fresh processes per side
+PASSES = 9    # timed passes per process; the best counts
 
 
 class Switch(NamedTuple):
@@ -124,11 +126,11 @@ def group_jobs(group):
     raise ValueError(f"no job group {group!r}")
 
 
-def run_group(group, passes):
+def run_group(group):
     """(best process time in seconds, digest of the outputs) of one group."""
     from synchro.engine import NotExtensible
     best, digests = None, set()
-    for _ in range(passes):
+    for _ in range(PASSES):
         jobs, outputs = group_jobs(group), []
         start = time.process_time()
         for job in jobs:
@@ -144,29 +146,29 @@ def run_group(group, passes):
     return best, digests.pop()
 
 
-def worker(src, passes, group):
+def worker(src, group):
     """Time the group on the library under src; print [seconds, digest]."""
     sys.path.insert(0, src)
     import synchro
     if os.path.dirname(os.path.dirname(os.path.abspath(synchro.__file__))) != src:
         raise ImportError(f"synchro was imported from {synchro.__file__}, not from {src}")
-    print(json.dumps(run_group(group, passes)))
+    print(json.dumps(run_group(group)))
 
 
 WORKER = ("import sys; sys.path.insert(0, sys.argv[1]); import ablate; "
-          "ablate.worker(sys.argv[2], int(sys.argv[3]), sys.argv[4])")
+          "ablate.worker(sys.argv[2], sys.argv[3])")
 
 
-def run_worker(src, passes, group):
+def run_worker(src, group):
     """worker in a fresh process: (seconds, digest)."""
-    out = subprocess.run([sys.executable, "-B", "-c", WORKER, TOOLS, src, str(passes), group],
+    out = subprocess.run([sys.executable, "-B", "-c", WORKER, TOOLS, src, group],
                          capture_output=True, text=True)
     if out.returncode != 0:
         raise Failure(f"the process on {src} failed: {out.stderr.strip()}")
     return json.loads(out.stdout)
 
 
-def ledger(rounds, passes, tmp):
+def ledger(tmp):
     """One record per switch, after every round has run."""
     for switch in SWITCHES:
         why = stale(switch)
@@ -177,9 +179,9 @@ def ledger(rounds, passes, tmp):
     sides += [(switch.group, copy_src(os.path.join(tmp, f"switch{i}"), switch))
               for i, switch in enumerate(SWITCHES)]
     runs = {side: [] for side in sides}
-    for r in range(rounds):
+    for r in range(ROUNDS):
         for group, src in sides if r % 2 == 0 else reversed(sides):
-            runs[group, src].append(run_worker(src, passes, group))
+            runs[group, src].append(run_worker(src, group))
     records = []
     for switch, (group, src) in zip(SWITCHES, sides[-len(SWITCHES):]):
         base, ours = runs[group, head], runs[group, src]
@@ -194,17 +196,10 @@ def ledger(rounds, passes, tmp):
     return records
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--passes", type=int, default=9)
-    args = ap.parse_args(argv)
-    for name in ("rounds", "passes"):
-        if getattr(args, name) < 1:
-            ap.error(f"--{name} must be at least 1, not {getattr(args, name)}")
+def main():
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            records = ledger(args.rounds, args.passes, tmp)
+            records = ledger(tmp)
     except Failure as exc:
         print(f"ablate: {exc}", file=sys.stderr)
         return 3
